@@ -4,16 +4,26 @@ The validation battery — every model × replicate × metric group scored
 against a target map — is embarrassingly parallel and completely
 deterministic, so this module runs it that way:
 
+* **one cell pipeline** — every consumer of battery cells (the runner,
+  the reference-map target, and the serving layer in :mod:`repro.serve`)
+  moves a typed :class:`Replicate` through the same three pieces:
+  :meth:`Replicate.probe` / :meth:`Replicate.put` read and write its
+  content-addressed cells, :func:`build_task` turns it into a worker
+  task, and :func:`run_tasks` executes tasks inline or on a
+  :class:`WorkerPool` with one set of retry and journal bookkeeping.
+  :func:`run_battery` then feeds each outcome through one absorb step
+  that turns it into :class:`UnitRecord` rows, cache puts, counters and
+  adopted spans;
 * **decomposition** — under the default ``regenerate`` transport, one
-  work unit per (model, replicate): each unit generates its topology
-  once and computes only the metric *groups* not already cached (see
+  ``full`` task per (model, replicate): it generates its topology once
+  and computes only the metric *groups* not already cached (see
   :data:`repro.core.metrics.METRIC_GROUPS`).  Under the ``shared``
   transport (see :mod:`repro.core.transport`), generation becomes its
-  own journaled/cached unit per (model, seed) — published once as a
-  zero-copy snapshot that workers attach read-only — and each pending
-  metric group becomes an independent unit, so exact-paths-heavy
-  replicates parallelize group-by-group and retries/resumes never pay
-  generation twice;
+  own journaled/cached ``generate`` task per (model, seed) — published
+  once as a zero-copy snapshot that workers attach read-only — and each
+  pending metric group becomes an independent ``measure`` task, so
+  exact-paths-heavy replicates parallelize group-by-group and
+  retries/resumes never pay generation twice;
 * **determinism** — each unit's seed is :func:`repro.stats.rng.derive_seed`
   of (model identity, params, n, base seed, replicate index), a pure
   function independent of scheduling, so results are bit-identical at any
@@ -31,7 +41,9 @@ deterministic, so this module runs it that way:
   ``"timeout"``) carrying the traceback, its entry keeps a
   :class:`~repro.core.metrics.PartialSummary` for the gap, every other
   unit's results survive, and — with a cache — re-running the same command
-  recomputes only the failed cells;
+  recomputes only the failed cells.  Served tasks go through the same
+  executor, so a served task whose worker raises, hangs or dies is
+  retried ``retries`` times too before its request fails;
 * **observability** — the run threads through :mod:`repro.obs`: a
   hierarchical span tree (``battery`` → ``unit`` → ``generate`` /
   ``metric.<group>``, exportable as a Chrome trace), ambient metrics
@@ -48,6 +60,7 @@ and cache telemetry; :func:`compare_models` layers target scoring on top
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import signal
@@ -71,7 +84,7 @@ from ..obs.tracer import Tracer, get_tracer, set_tracer
 from ..stats.rng import derive_seed
 from .cache import CacheStats, NullCache, ResultCache, canonical_key
 from .compare import ComparisonResult, compare_summaries
-from .journal import JournalLike, NullJournal, RunJournal, resolve_journal
+from .journal import JournalLike, resolve_journal
 from .metrics import (
     ALL_METRIC_GROUPS,
     METRIC_GROUPS,
@@ -84,6 +97,7 @@ from .metrics import (
 from .registry import resolve_generator
 from .report import format_table, shorten
 from .transport import (
+    SharedGraphHandle,
     SnapshotSpool,
     attach_graph,
     publish_graph,
@@ -406,10 +420,6 @@ def cell_payload(
     }
 
 
-# Historical private name, still imported by older call sites.
-_cell_payload = cell_payload
-
-
 def generation_payload(
     identity: str,
     params: Mapping[str, Any],
@@ -433,6 +443,89 @@ def generation_payload(
     }
 
 
+@dataclass
+class Replicate:
+    """One (model, seed) replicate moving through the cell pipeline.
+
+    The typed record shared by every consumer of battery cells — the
+    battery runner, the reference-map target and the serving layer.
+    ``cells`` maps each requested metric group to its cache (key,
+    payload) and ``gen_key`` is the topology's snapshot-spool key;
+    :meth:`probe` fills ``values`` from a cache, :attr:`pending` is what
+    is still missing, and :meth:`put` stores freshly computed groups.
+    ``handle`` is the published topology once one exists (shared
+    transport, served requests) and ``error`` the first failure charged
+    to the replicate.
+    """
+
+    label: str
+    generator: Optional[TopologyGenerator]
+    n: int
+    seed: int
+    sum_params: Mapping[str, Any]
+    cells: Dict[str, Tuple[str, Dict[str, Any]]]
+    gen_key: str
+    replicate: Optional[int] = None
+    values: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    handle: Optional[SharedGraphHandle] = None
+    error: Optional[str] = None
+
+    @classmethod
+    def keyed(
+        cls,
+        label: str,
+        identity: str,
+        params: Mapping[str, Any],
+        n: int,
+        seed: int,
+        groups: Sequence[str],
+        sum_params: Mapping[str, Any],
+        generator: Optional[TopologyGenerator] = None,
+        replicate: Optional[int] = None,
+    ) -> "Replicate":
+        """A replicate whose *groups* are keyed on (identity, params, n,
+        seed) with the battery's cell and generation payloads."""
+        cells = {}
+        for group in groups:
+            payload = cell_payload(identity, params, n, seed, group, sum_params)
+            cells[group] = (canonical_key(payload), payload)
+        gen_key = canonical_key(generation_payload(identity, params, n, seed))
+        return cls(label, generator, n, seed, sum_params, cells, gen_key, replicate)
+
+    @property
+    def pending(self) -> Tuple[str, ...]:
+        """Requested groups with no value yet, in request order."""
+        return tuple(group for group in self.cells if group not in self.values)
+
+    def probe(self, store: Union[ResultCache, NullCache]) -> List[str]:
+        """Fill ``values`` from *store*; returns the groups that hit."""
+        hits = []
+        for group, (key, payload) in self.cells.items():
+            hit = store.get(key, payload)
+            if hit is not None:
+                self.values[group] = hit
+                hits.append(group)
+        return hits
+
+    def put(
+        self,
+        store: Union[ResultCache, NullCache],
+        computed: Mapping[str, Dict[str, float]],
+    ) -> None:
+        """Store freshly *computed* groups in *store* and in ``values``."""
+        for group, group_values in computed.items():
+            key, payload = self.cells[group]
+            store.put(key, group_values, payload)
+            self.values[group] = group_values
+
+    def merged(self) -> Dict[str, float]:
+        """Every present group's fields in one dict."""
+        out: Dict[str, float] = {}
+        for group in self.cells:
+            out.update(self.values.get(group, {}))
+        return out
+
+
 @contextmanager
 def _ambient_obs(tracer: Tracer):
     """Install *tracer* as the ambient one for a block (restored after),
@@ -444,15 +537,70 @@ def _ambient_obs(tracer: Tracer):
         set_tracer(previous)
 
 
-def _battery_task(task):
+@dataclass(frozen=True)
+class _UnitOutcome:
+    """Result of one work-unit attempt (the worker's return value), and
+    the terminal result the executor reports after all attempts."""
+
+    status: str  # "ok" | "failed" | "timeout"
+    values: Optional[Dict[str, Dict[str, float]]] = None
+    timings: Optional[Dict[str, float]] = None
+    gen_seconds: float = 0.0
+    seconds: float = 0.0
+    worker: Optional[int] = None
+    error: Optional[str] = None
+    handle: Optional[SharedGraphHandle] = None
+    #: The worker's span dicts, metrics snapshot and resource sample.
+    obs: Dict[str, Any] = field(default_factory=dict)
+
+
+def build_task(
+    kind: str,
+    rep: Replicate,
+    groups: Optional[Sequence[str]] = None,
+    spool: Optional[SnapshotSpool] = None,
+    trace: bool = False,
+    profile_dir: Union[None, str, Path] = None,
+) -> Dict[str, Any]:
+    """The one builder of worker task dicts (see :func:`_battery_task`).
+
+    ``full`` generates *rep*'s topology and measures *groups* (default:
+    its pending groups); ``generate`` publishes the topology into *spool*
+    under ``rep.gen_key``; ``measure`` attaches ``rep.handle`` and
+    measures *groups*.  *trace* / *profile_dir* configure the worker's
+    observability.
+    """
+    groups = tuple(rep.pending if groups is None else groups)
+    base = rep.label if rep.replicate is None else f"{rep.label}-rep{rep.replicate}"
+    suffix = {"full": "", "generate": "-gen"}.get(kind, "-" + "+".join(groups))
+    task: Dict[str, Any] = {
+        "kind": kind,
+        "seed": rep.seed,
+        "obs": {
+            "trace": trace, "profile_dir": profile_dir, "model": rep.label,
+            "replicate": rep.replicate, "label": base + suffix,
+        },
+    }
+    if kind == "measure":
+        task["handle"] = rep.handle
+    else:
+        task.update(generator=rep.generator, n=rep.n)
+    if kind == "generate":
+        task["spool_path"] = str(spool.path_for(rep.gen_key))
+    else:
+        task.update(groups=groups, sum_params=rep.sum_params)
+    return task
+
+
+def _battery_task(task: Dict[str, Any]) -> _UnitOutcome:
     """Worker kernel: one battery work unit, dispatched on ``task["kind"]``.
 
     * ``"full"`` — generate one topology and compute its missing groups
-      (the ``regenerate`` transport's unit, and the historical shape);
+      (the ``regenerate`` transport's unit);
     * ``"generate"`` — generate one topology and publish it as a shared
       snapshot at ``task["spool_path"]``; the resulting
-      :class:`~repro.core.transport.SharedGraphHandle` rides back in the
-      obs payload under ``"handle"``;
+      :class:`~repro.core.transport.SharedGraphHandle` rides back as the
+      outcome's ``handle``;
     * ``"measure"`` — attach ``task["handle"]`` (served from this
       process's transport attach cache after the first touch) and compute
       ``task["groups"]`` on the shared topology.
@@ -461,37 +609,37 @@ def _battery_task(task):
     start method.  Installs a fresh ambient tracer and metrics registry
     for the unit's duration (identical behavior inline and in a pooled
     worker — no cross-unit bleed, no double counting) and samples rusage
-    around the work.  Returns (task index, group → values, group → real
-    wall seconds, generation seconds, worker pid, obs payload) where the
-    payload carries the unit's span dicts, metrics snapshot, and resource
-    sample.
+    around the work.  Returns an ``"ok"`` :class:`_UnitOutcome` whose
+    ``seconds`` is the unit's wall time and whose ``obs`` carries the
+    unit's span dicts, metrics snapshot, and resource sample; a failure
+    raises.
     """
-    index = task["index"]
     kind = task["kind"]
     obs_conf = task["obs"]
     seed = task["seed"]
-    model = obs_conf.get("model")
-    tracer = Tracer(enabled=bool(obs_conf.get("trace")))
+    model = obs_conf["model"]
+    tracer = Tracer(enabled=bool(obs_conf["trace"]))
     registry = MetricsRegistry()
     prev_tracer = set_tracer(tracer)
     prev_registry = set_registry(registry)
     sampler = ResourceSampler().start()
+    started = time.perf_counter()
     values: Dict[str, Dict[str, float]] = {}
     timings: Dict[str, float] = {}
     gen_seconds = 0.0
     handle = None
     try:
-        with profile_unit(obs_conf.get("profile_dir"), obs_conf.get("label", f"unit-{index}")):
+        with profile_unit(obs_conf["profile_dir"], obs_conf["label"]):
             with tracer.span(
-                "unit", model=model, replicate=obs_conf.get("replicate"),
+                "unit", model=model, replicate=obs_conf["replicate"],
                 seed=seed, kind=kind,
             ):
                 if kind in ("full", "generate"):
                     n = task["n"]
-                    start = time.perf_counter()
+                    gen_started = time.perf_counter()
                     with tracer.span("generate", model=model, n=n):
                         graph = task["generator"].generate(n, seed=seed)
-                    gen_seconds = time.perf_counter() - start
+                    gen_seconds = time.perf_counter() - gen_started
                 else:
                     graph = attach_graph(task["handle"])
                 if kind == "generate":
@@ -506,34 +654,32 @@ def _battery_task(task):
     finally:
         set_tracer(prev_tracer)
         set_registry(prev_registry)
+    seconds = time.perf_counter() - started
     usage = sampler.stop()
-    obs_payload = {
-        "spans": [span.as_dict() for span in tracer.drain()],
-        "metrics": registry.snapshot(),
-        "rusage": usage.as_dict(),
-    }
-    if handle is not None:
-        obs_payload["handle"] = handle
-    return index, values, timings, gen_seconds, os.getpid(), obs_payload
-
-
-@dataclass(frozen=True)
-class _UnitOutcome:
-    """Terminal result of one work unit after all attempts."""
-
-    status: str  # "ok" | "failed" | "timeout"
-    values: Optional[Dict[str, Dict[str, float]]] = None
-    timings: Optional[Dict[str, float]] = None
-    gen_seconds: float = 0.0
-    seconds: float = 0.0
-    worker: Optional[int] = None
-    error: Optional[str] = None
-    attempts: int = 1
-    extras: Optional[Dict[str, Any]] = None
+    return _UnitOutcome(
+        "ok", values=values, timings=timings, gen_seconds=gen_seconds,
+        seconds=seconds, worker=os.getpid(), handle=handle,
+        obs={
+            "spans": [span.as_dict() for span in tracer.drain()],
+            "metrics": registry.snapshot(),
+            "rusage": usage.as_dict(),
+        },
+    )
 
 
 def _format_exception(exc: BaseException) -> str:
     return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+
+def _unit_info(task: Mapping[str, Any]) -> Dict[str, Any]:
+    """The journal fields identifying one task's unit."""
+    info = {
+        "model": task["obs"]["model"], "replicate": task["obs"]["replicate"],
+        "seed": task["seed"], "kind": task["kind"],
+    }
+    if task["kind"] == "measure":
+        info["group"] = "+".join(task["groups"])
+    return info
 
 
 def _finish_fields(outcome: _UnitOutcome) -> Dict[str, Any]:
@@ -548,79 +694,35 @@ def _finish_fields(outcome: _UnitOutcome) -> Dict[str, Any]:
             for group, seconds in (outcome.timings or {}).items()
         },
     }
-    rusage = (outcome.extras or {}).get("rusage") or {}
+    rusage = outcome.obs.get("rusage") or {}
     if rusage:
         fields["max_rss_kb"] = rusage.get("max_rss_kb")
         fields["cpu_seconds"] = rusage.get("cpu_seconds")
     return fields
 
 
-def _run_serial(
-    tasks: Sequence[Tuple],
-    timeout: Optional[float],
-    retries: int,
-    journal: Union[RunJournal, NullJournal],
-    meta: Mapping[int, Dict[str, Any]],
-) -> Dict[int, _UnitOutcome]:
-    """Inline (jobs=1) execution with the same containment semantics.
-
-    A unit that overruns *timeout* inline cannot be preempted, so the
-    limit is enforced retroactively: the overrun unit's values are
-    discarded and it is recorded as a timeout, keeping jobs=1 and jobs>1
-    outcomes identical for deterministic workloads.
-    """
-    registry = get_registry()
-    outcomes: Dict[int, _UnitOutcome] = {}
-    for task in tasks:
-        index = task["index"]
-        info = meta[index]
-        outcome: Optional[_UnitOutcome] = None
-        for attempt in range(retries + 1):
-            journal.emit("unit_start", attempt=attempt, jobs=1, **info)
-            started = time.perf_counter()
-            try:
-                _, values, timings, gen_seconds, worker, extras = _battery_task(task)
-            except Exception as exc:
-                elapsed = time.perf_counter() - started
-                outcome = _UnitOutcome(
-                    "failed", seconds=elapsed, worker=os.getpid(),
-                    error=_format_exception(exc), attempts=attempt + 1,
-                )
-            else:
-                elapsed = time.perf_counter() - started
-                if timeout is not None and elapsed > timeout:
-                    outcome = _UnitOutcome(
-                        "timeout", seconds=elapsed, worker=os.getpid(),
-                        error=(
-                            f"TimeoutError: unit took {elapsed:.3f}s, "
-                            f"exceeding the {timeout}s per-unit timeout"
-                        ),
-                        attempts=attempt + 1,
-                    )
-                else:
-                    outcome = _UnitOutcome(
-                        "ok", values=values, timings=timings,
-                        gen_seconds=gen_seconds, seconds=elapsed,
-                        worker=worker, attempts=attempt + 1, extras=extras,
-                    )
-            if outcome.status == "ok":
-                journal.emit(
-                    "unit_finish", attempt=attempt,
-                    **_finish_fields(outcome), **info,
-                )
-                break
-            if attempt < retries:
-                registry.counter("battery.units.retried").inc()
-                journal.emit(
-                    "unit_retry", attempt=attempt, status=outcome.status, **info
-                )
-            else:
-                journal.emit(
-                    "unit_fail", status=outcome.status, attempts=outcome.attempts,
-                    error=outcome.error, **info,
-                )
-        outcomes[index] = outcome
-    return outcomes
+def _run_inline(task: Dict[str, Any], timeout: Optional[float]) -> _UnitOutcome:
+    """One attempt in this process.  An inline unit cannot be preempted,
+    so *timeout* is enforced after the fact: the overrun unit's values
+    are discarded and it is recorded as a timeout, keeping inline and
+    pooled outcomes identical for deterministic workloads."""
+    started = time.perf_counter()
+    try:
+        outcome = _battery_task(task)
+    except Exception as exc:
+        return _UnitOutcome(
+            "failed", seconds=time.perf_counter() - started,
+            worker=os.getpid(), error=_format_exception(exc),
+        )
+    if timeout is not None and outcome.seconds > timeout:
+        return _UnitOutcome(
+            "timeout", seconds=outcome.seconds, worker=outcome.worker,
+            error=(
+                f"TimeoutError: unit took {outcome.seconds:.3f}s, "
+                f"exceeding the {timeout}s per-unit timeout"
+            ),
+        )
+    return outcome
 
 
 def _worker_ignore_sigint() -> None:
@@ -642,8 +744,8 @@ class WorkerPool:
     the serving layer) across requests for the life of the service.
 
     * :meth:`submit` hands one task dict to a worker and returns its
-      future — the reusable submit path shared by :func:`_run_parallel`
-      and :class:`repro.serve.ServeDispatcher`.
+      future — the submit path of :func:`run_tasks`, which both the
+      battery and :class:`repro.serve.ServeDispatcher` execute through.
     * :meth:`rebuild` abandons a broken or hung pool without waiting for
       it; the next submit builds a fresh one.
     * :meth:`shutdown` releases the workers (idempotent).
@@ -698,128 +800,123 @@ class WorkerPool:
             executor.shutdown(wait=wait, cancel_futures=True)
 
 
-def _run_parallel(
+def run_tasks(
     tasks: Sequence[Dict[str, Any]],
-    jobs: int,
     timeout: Optional[float],
     retries: int,
-    journal: Union[RunJournal, NullJournal],
-    meta: Mapping[int, Dict[str, Any]],
-    mp_context=None,
-    on_rebuild=None,
+    journal: JournalLike = None,
     pool: Optional[WorkerPool] = None,
-) -> Dict[int, _UnitOutcome]:
-    """Pooled execution with per-unit containment.
+    on_rebuild=None,
+) -> List[_UnitOutcome]:
+    """The one executor: run *tasks* with per-unit containment.
 
-    Every unit is submitted individually; an exception raised in a worker
-    costs only its own unit, a unit that overruns *timeout* is abandoned
-    (its worker finishes in the background), and a worker process dying
-    outright (:class:`BrokenExecutor`) charges the unit being waited on
-    and rebuilds the pool for the rest.  Failed/timed-out attempts are
-    re-submitted up to *retries* times before the unit is declared dead.
+    Returns one terminal :class:`_UnitOutcome` per task, in order.  An
+    exception raised by a unit, a unit overrunning *timeout*, or — pooled
+    — a worker process dying outright costs only that unit's attempt; a
+    failed attempt is retried up to *retries* times before the unit is
+    declared dead.  Both paths share the bookkeeping: one
+    ``unit_start`` journal event per attempt, then ``unit_finish``,
+    ``unit_retry`` (counted in ``battery.units.retried``) or
+    ``unit_fail``, and every successful unit's worker metrics merged
+    into the ambient registry.
 
-    *pool* — when given — is a caller-owned :class:`WorkerPool` reused
-    across calls (run_battery shares one across its transport waves; the
-    serving layer keeps one warm for the life of the service); otherwise a
-    private pool is built here from the explicit *mp_context* (see
-    :func:`repro.core.transport.resolve_mp_context`) and shut down on
-    exit.  Healthy pools survive retry rounds — only a broken or hung
-    pool is abandoned and rebuilt.  *on_rebuild* — when given — runs
-    after each abandonment before the replacement is built; the shared
-    transport reaps orphaned snapshot staging directories there.
+    Inline (*pool* ``None``) runs each unit to completion, retries
+    included, before the next, enforcing *timeout* after the fact.
+    Pooled runs submit every pending unit to the caller-owned
+    :class:`WorkerPool` and collect them in rounds, pre-empting *timeout*
+    (the abandoned worker finishes in the background).  A dead worker
+    (:class:`BrokenExecutor`) charges the unit being waited on and
+    re-runs every other in-flight unit free of charge; only a hung or
+    broken pool is rebuilt, after which *on_rebuild* runs (the shared
+    transport reaps orphaned snapshot staging directories there).
     """
+    log = resolve_journal(journal)
     registry = get_registry()
-    by_index = {task["index"]: task for task in tasks}
-    pending: Dict[int, int] = {
-        task["index"]: 0 for task in tasks
-    }  # index → attempts used
+    jobs = pool.jobs if pool is not None else 1
+    infos = [_unit_info(task) for task in tasks]
+    attempts = dict.fromkeys(range(len(tasks)), 0)  # pending index → attempts used
     outcomes: Dict[int, _UnitOutcome] = {}
-    owned = pool is None
-    if owned:
-        pool = WorkerPool(jobs, mp_context)
 
-    def charge(index: int, status: str, error: str, seconds: float) -> None:
-        attempts = pending[index] + 1
-        info = meta[index]
-        if attempts > retries:
-            outcomes[index] = _UnitOutcome(
-                status, seconds=seconds, error=error, attempts=attempts
+    def start(index: int) -> None:
+        log.emit("unit_start", attempt=attempts[index], jobs=jobs, **infos[index])
+
+    def settle(index: int, outcome: _UnitOutcome) -> None:
+        attempt = attempts[index]
+        info = infos[index]
+        if outcome.status == "ok":
+            if outcome.obs.get("metrics"):
+                registry.merge(outcome.obs["metrics"])
+            log.emit(
+                "unit_finish", attempt=attempt, **_finish_fields(outcome), **info
             )
-            del pending[index]
-            journal.emit(
-                "unit_fail", status=status, attempts=attempts, error=error, **info
-            )
-        else:
-            pending[index] = attempts
+        elif attempt < retries:
+            attempts[index] = attempt + 1
             registry.counter("battery.units.retried").inc()
-            journal.emit("unit_retry", attempt=attempts - 1, status=status, **info)
-
-    while pending:
-        broken = False
-        hung = False
-        futures = {}
-        for index in sorted(pending):
-            futures[index] = pool.submit(by_index[index])
-            journal.emit(
-                "unit_start", attempt=pending[index], jobs=jobs, **meta[index]
+            log.emit("unit_retry", attempt=attempt, status=outcome.status, **info)
+            return
+        else:
+            log.emit(
+                "unit_fail", status=outcome.status, attempts=attempt + 1,
+                error=outcome.error, **info,
             )
+        outcomes[index] = outcome
+        del attempts[index]
+
+    if pool is None:
+        for index in range(len(tasks)):
+            while index in attempts:
+                start(index)
+                settle(index, _run_inline(tasks[index], timeout))
+    while attempts:
+        futures = {}
+        for index in sorted(attempts):
+            futures[index] = pool.submit(tasks[index])
+            start(index)
+        rebuild = False
         for index, future in futures.items():
             waited = time.perf_counter()
+            broken = False
             try:
-                _, values, timings, gen_seconds, worker, extras = future.result(
-                    timeout=timeout
-                )
+                outcome = future.result(timeout=timeout)
             except FuturesTimeout:
                 future.cancel()
-                hung = True
-                charge(
-                    index, "timeout",
-                    f"TimeoutError: unit did not finish within the "
-                    f"{timeout}s per-unit timeout",
-                    timeout or 0.0,
+                rebuild = True
+                outcome = _UnitOutcome(
+                    "timeout", seconds=timeout,
+                    error=(
+                        f"TimeoutError: unit did not finish within the "
+                        f"{timeout}s per-unit timeout"
+                    ),
                 )
             except BrokenExecutor as exc:
                 # A worker died without raising (segfault, OOM-kill,
                 # os._exit): the whole pool is unusable.  Attribution is
-                # heuristic — the unit being waited on is charged — and
-                # every other in-flight unit is re-run free of charge in a
-                # fresh pool.
-                journal.emit("pool_broken", error=repr(exc), **meta[index])
-                charge(
-                    index, "failed",
-                    f"BrokenExecutor: worker process died abruptly "
-                    f"({exc!r}); unit charged heuristically",
-                    time.perf_counter() - waited,
-                )
-                broken = True
-                break
-            except Exception as exc:
-                charge(
-                    index, "failed", _format_exception(exc),
-                    time.perf_counter() - waited,
-                )
-            else:
-                seconds = gen_seconds + sum(timings.values())
+                # heuristic — the unit being waited on is charged.
+                log.emit("pool_broken", error=repr(exc), **infos[index])
+                rebuild = broken = True
                 outcome = _UnitOutcome(
-                    "ok", values=values, timings=timings,
-                    gen_seconds=gen_seconds, seconds=seconds,
-                    worker=worker, attempts=pending[index] + 1, extras=extras,
+                    "failed", seconds=time.perf_counter() - waited,
+                    error=(
+                        f"BrokenExecutor: worker process died abruptly "
+                        f"({exc!r}); unit charged heuristically"
+                    ),
                 )
-                outcomes[index] = outcome
-                del pending[index]
-                journal.emit(
-                    "unit_finish", **_finish_fields(outcome), **meta[index]
+            except Exception as exc:
+                outcome = _UnitOutcome(
+                    "failed", seconds=time.perf_counter() - waited,
+                    error=_format_exception(exc),
                 )
+            settle(index, outcome)
+            if broken:
+                break
         # Only a hung or broken pool is abandoned (without blocking on
-        # it); a healthy pool is kept warm for the next retry round — or,
-        # for a caller-owned pool, for whatever the caller runs next.
-        if broken or hung:
+        # it); a healthy pool stays warm for the next retry round and for
+        # whatever the caller runs next.
+        if rebuild:
             pool.rebuild()
             if on_rebuild is not None:
                 on_rebuild()
-    if owned:
-        pool.shutdown(wait=True)
-    return outcomes
+    return [outcomes[index] for index in range(len(tasks))]
 
 
 def run_battery(
@@ -935,7 +1032,9 @@ def run_battery(
         "min_tail": min_tail,
         "backend": backend,
     }
-    obs_base = {"trace": trc.enabled, "profile_dir": profile_dir}
+    make_task = functools.partial(
+        build_task, trace=trc.enabled, profile_dir=profile_dir
+    )
 
     with _ambient_obs(trc), trc.span(
         "battery", models=[label for label, _ in spec], n=n,
@@ -956,34 +1055,63 @@ def run_battery(
         # (and every retry round) reuse the same worker processes, so the
         # per-process transport attach caches stay hot across waves.
         pool = WorkerPool(jobs, mp_ctx) if jobs > 1 else None
-
-        def run_units(task_list, task_meta):
-            if not task_list:
-                return {}
-            if pool is not None:
-                return _run_parallel(
-                    task_list, jobs, timeout, retries, log, task_meta,
-                    mp_context=mp_ctx,
-                    on_rebuild=spool.reap_staging if spool is not None else None,
-                    pool=pool,
-                )
-            return _run_serial(task_list, timeout, retries, log, task_meta)
-
-        def absorb(outcome: _UnitOutcome) -> Dict[str, Any]:
-            extras = outcome.extras or {}
-            if extras.get("metrics"):
-                registry.merge(extras["metrics"])
-            if trc.enabled and extras.get("spans"):
-                trc.adopt(extras["spans"], parent=battery_span)
-            return extras
-
         records: List[UnitRecord] = []
-        tasks: List[Dict[str, Any]] = []
-        meta: Dict[int, Dict[str, Any]] = {}
-        gen_tasks: List[Dict[str, Any]] = []
-        gen_meta: Dict[int, Dict[str, Any]] = {}
-        # One slot per (model, replicate): cached values plus pending cell keys.
-        units: List[Dict[str, Any]] = []
+
+        def absorb(rep: Replicate, task: Dict[str, Any], outcome: _UnitOutcome) -> None:
+            """Turn one full/generate/measure outcome into records, cache
+            puts, counters and adopted spans."""
+            kind = task["kind"]
+            if trc.enabled and outcome.obs.get("spans"):
+                trc.adopt(outcome.obs["spans"], parent=battery_span)
+            if outcome.status != "ok":
+                # A failed full or generate unit fails the whole replicate
+                # (no graph, nothing to measure); a failed measure unit
+                # costs one group.
+                registry.counter("battery.units.failed").inc()
+                rep.error = rep.error or outcome.error
+                records.append(
+                    UnitRecord(
+                        rep.label, rep.replicate,
+                        "+".join(task["groups"]) if kind == "measure" else "unit",
+                        rep.seed, False, outcome.seconds,
+                        status=outcome.status, error=outcome.error,
+                    )
+                )
+                return
+            registry.counter("battery.units.completed").inc()
+            registry.histogram("battery.unit.seconds").observe(outcome.seconds)
+            if kind == "generate":
+                spool.adopt(rep.gen_key, outcome.handle)
+                rep.handle = outcome.handle
+                registry.counter("battery.generations.computed").inc()
+            if kind != "measure":
+                rusage = outcome.obs.get("rusage") or {}
+                records.append(
+                    UnitRecord(
+                        rep.label, rep.replicate, "generate", rep.seed, False,
+                        outcome.gen_seconds,
+                        max_rss_kb=rusage.get("max_rss_kb"),
+                        cpu_seconds=rusage.get("cpu_seconds"),
+                    )
+                )
+            if kind != "generate":
+                registry.counter("battery.cells.computed").inc(len(outcome.values))
+                rep.put(store, outcome.values)
+                # Per-group seconds plus the shared "giant" pass.
+                records.extend(
+                    UnitRecord(rep.label, rep.replicate, group, rep.seed, False, sec)
+                    for group, sec in outcome.timings.items()
+                )
+
+        def run_wave(wave: List[Tuple[Replicate, Dict[str, Any]]]) -> None:
+            outcomes = run_tasks(
+                [task for _, task in wave], timeout, retries, log, pool=pool,
+                on_rebuild=spool.reap_staging if spool is not None else None,
+            )
+            for (rep, task), outcome in zip(wave, outcomes):
+                absorb(rep, task, outcome)
+
+        reps: List[Replicate] = []
         for label, generator in spec:
             identity, params = _identity(generator)
             # Engine-sensitive generators produce engine-dependent graphs, so
@@ -992,284 +1120,61 @@ def run_battery(
             # seed derivation stays on the plain params either way: the same
             # roster must map to the same seeds under every engine.
             cache_params = generator.cache_params(n)
-            for rep in range(seeds):
-                unit_seed = derive_seed(
-                    "battery-unit", identity, params, n, base_seed, rep
+            for index in range(seeds):
+                rep = Replicate.keyed(
+                    label, identity, cache_params, n,
+                    derive_seed("battery-unit", identity, params, n, base_seed, index),
+                    group_names, sum_params, generator=generator, replicate=index,
                 )
-                unit = {
-                    "label": label,
-                    "params": params,
-                    "replicate": rep,
-                    "seed": unit_seed,
-                    "values": {},
-                    "pending": {},
-                    "task": None,
-                    "gen_task": None,
-                    "gen_key": None,
-                    "handle": None,
-                }
-                for group in group_names:
-                    payload = _cell_payload(
-                        identity, cache_params, n, unit_seed, group, sum_params
+                for group in rep.probe(store):
+                    records.append(UnitRecord(label, index, group, rep.seed, True, 0.0))
+                    registry.counter("battery.cells.cached").inc()
+                    log.emit(
+                        "cache_hit", model=label, replicate=index,
+                        seed=rep.seed, group=group, key=rep.cells[group][0],
                     )
-                    key = canonical_key(payload)
-                    hit = store.get(key, payload)
-                    if hit is not None:
-                        unit["values"][group] = hit
-                        records.append(
-                            UnitRecord(label, rep, group, unit_seed, True, 0.0)
-                        )
-                        registry.counter("battery.cells.cached").inc()
-                        log.emit(
-                            "cache_hit", model=label, replicate=rep,
-                            seed=unit_seed, group=group, key=key,
-                        )
-                    else:
-                        unit["pending"][group] = (key, payload)
-                if unit["pending"] and transport_used == "regenerate":
-                    index = len(tasks)
-                    unit["task"] = index
-                    meta[index] = {
-                        "model": label, "replicate": rep,
-                        "seed": unit_seed, "kind": "full",
-                    }
-                    tasks.append(
-                        {
-                            "index": index,
-                            "kind": "full",
-                            "generator": generator,
-                            "n": n,
-                            "seed": unit_seed,
-                            "groups": tuple(unit["pending"]),
-                            "sum_params": sum_params,
-                            "obs": dict(
-                                obs_base,
-                                model=label,
-                                replicate=rep,
-                                label=f"{label}-rep{rep}",
-                            ),
-                        }
-                    )
-                elif unit["pending"]:
+                if rep.pending and spool is not None:
                     # Shared transport: the generation is its own cached
-                    # unit keyed on (model identity, params, n, seed) —
-                    # a spool hit (this run or a previous one sharing the
-                    # cache directory) skips it entirely.
-                    gen_payload = generation_payload(
-                        identity, cache_params, n, unit_seed
-                    )
-                    gen_key = canonical_key(gen_payload)
-                    unit["gen_key"] = gen_key
-                    handle = spool.probe(gen_key)
-                    if handle is not None:
-                        unit["handle"] = handle
+                    # unit — a spool hit (this run or a previous one
+                    # sharing the cache directory) skips it entirely.
+                    rep.handle = spool.probe(rep.gen_key)
+                    if rep.handle is not None:
                         records.append(
-                            UnitRecord(label, rep, "generate", unit_seed, True, 0.0)
+                            UnitRecord(label, index, "generate", rep.seed, True, 0.0)
                         )
                         registry.counter("battery.generations.cached").inc()
                         log.emit(
-                            "snapshot_hit", model=label, replicate=rep,
-                            seed=unit_seed, key=gen_key,
+                            "snapshot_hit", model=label, replicate=index,
+                            seed=rep.seed, key=rep.gen_key,
                         )
-                    else:
-                        index = len(gen_tasks)
-                        unit["gen_task"] = index
-                        gen_meta[index] = {
-                            "model": label, "replicate": rep,
-                            "seed": unit_seed, "kind": "generate",
-                        }
-                        gen_tasks.append(
-                            {
-                                "index": index,
-                                "kind": "generate",
-                                "generator": generator,
-                                "n": n,
-                                "seed": unit_seed,
-                                "spool_path": str(spool.path_for(gen_key)),
-                                "obs": dict(
-                                    obs_base,
-                                    model=label,
-                                    replicate=rep,
-                                    label=f"{label}-rep{rep}-gen",
-                                ),
-                            }
-                        )
-                units.append(unit)
+                reps.append(rep)
 
         try:
-            outcomes = run_units(tasks, meta)
-            for unit in units:
-                if unit["task"] is None:
-                    continue
-                outcome = outcomes[unit["task"]]
-                extras = absorb(outcome)
-                if outcome.status == "ok":
-                    registry.counter("battery.units.completed").inc()
-                    registry.counter("battery.cells.computed").inc(
-                        len(unit["pending"])
-                    )
-                    registry.histogram("battery.unit.seconds").observe(
-                        outcome.seconds
-                    )
-                    rusage = extras.get("rusage") or {}
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "generate",
-                            unit["seed"], False, outcome.gen_seconds,
-                            max_rss_kb=rusage.get("max_rss_kb"),
-                            cpu_seconds=rusage.get("cpu_seconds"),
-                        )
-                    )
-                    giant_seconds = (outcome.timings or {}).get("giant")
-                    if giant_seconds is not None:
-                        records.append(
-                            UnitRecord(
-                                unit["label"], unit["replicate"], "giant",
-                                unit["seed"], False, giant_seconds,
-                            )
-                        )
-                    for group, (key, payload) in unit["pending"].items():
-                        unit["values"][group] = outcome.values[group]
-                        store.put(key, outcome.values[group], payload)
-                        records.append(
-                            UnitRecord(
-                                unit["label"], unit["replicate"], group,
-                                unit["seed"], False, outcome.timings[group],
-                            )
-                        )
-                else:
-                    registry.counter("battery.units.failed").inc()
-                    unit["error"] = outcome.error
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "unit",
-                            unit["seed"], False, outcome.seconds,
-                            status=outcome.status, error=outcome.error,
-                        )
-                    )
-
-            # Shared transport, wave 1: run the missed generations; each
-            # publishes its topology into the spool and hands back only a
-            # handle.  A failed generation fails its whole replicate (no
-            # graph, nothing to measure).
-            gen_outcomes = run_units(gen_tasks, gen_meta)
-            for unit in units:
-                if unit["gen_task"] is None:
-                    continue
-                outcome = gen_outcomes[unit["gen_task"]]
-                extras = absorb(outcome)
-                handle = extras.get("handle")
-                if outcome.status == "ok" and handle is not None:
-                    spool.adopt(unit["gen_key"], handle)
-                    unit["handle"] = handle
-                    registry.counter("battery.generations.computed").inc()
-                    registry.counter("battery.units.completed").inc()
-                    registry.histogram("battery.unit.seconds").observe(
-                        outcome.seconds
-                    )
-                    rusage = extras.get("rusage") or {}
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "generate",
-                            unit["seed"], False, outcome.gen_seconds,
-                            max_rss_kb=rusage.get("max_rss_kb"),
-                            cpu_seconds=rusage.get("cpu_seconds"),
-                        )
-                    )
-                else:
-                    registry.counter("battery.units.failed").inc()
-                    unit["error"] = outcome.error or "generation returned no handle"
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "unit",
-                            unit["seed"], False, outcome.seconds,
-                            status=outcome.status if outcome.status != "ok" else "failed",
-                            error=unit["error"],
-                        )
-                    )
-
-            # Shared transport, wave 2: every pending metric group of every
-            # replicate with a published topology becomes its own unit —
-            # retries re-attach (a dict lookup after the first touch),
-            # never regenerate, and a failure costs one group, not the
-            # replicate.
-            measure_tasks: List[Dict[str, Any]] = []
-            measure_meta: Dict[int, Dict[str, Any]] = {}
-            owners: Dict[int, Tuple[Dict[str, Any], str]] = {}
-            for unit in units:
-                if unit["handle"] is None or not unit["pending"]:
-                    continue
-                for group in unit["pending"]:
-                    index = len(measure_tasks)
-                    owners[index] = (unit, group)
-                    measure_meta[index] = {
-                        "model": unit["label"], "replicate": unit["replicate"],
-                        "seed": unit["seed"], "kind": "measure", "group": group,
-                    }
-                    measure_tasks.append(
-                        {
-                            "index": index,
-                            "kind": "measure",
-                            "handle": unit["handle"],
-                            "seed": unit["seed"],
-                            "groups": (group,),
-                            "sum_params": sum_params,
-                            "obs": dict(
-                                obs_base,
-                                model=unit["label"],
-                                replicate=unit["replicate"],
-                                label=(
-                                    f"{unit['label']}-rep{unit['replicate']}-{group}"
-                                ),
-                            ),
-                        }
-                    )
-            measure_outcomes = run_units(measure_tasks, measure_meta)
-            for index, (unit, group) in owners.items():
-                outcome = measure_outcomes[index]
-                absorb(outcome)
-                key, payload = unit["pending"][group]
-                if outcome.status == "ok":
-                    registry.counter("battery.units.completed").inc()
-                    registry.counter("battery.cells.computed").inc()
-                    registry.histogram("battery.unit.seconds").observe(
-                        outcome.seconds
-                    )
-                    unit["values"][group] = outcome.values[group]
-                    store.put(key, outcome.values[group], payload)
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], group,
-                            unit["seed"], False, outcome.timings[group],
-                        )
-                    )
-                    giant_seconds = (outcome.timings or {}).get("giant")
-                    if giant_seconds is not None:
-                        records.append(
-                            UnitRecord(
-                                unit["label"], unit["replicate"], "giant",
-                                unit["seed"], False, giant_seconds,
-                            )
-                        )
-                else:
-                    registry.counter("battery.units.failed").inc()
-                    if not unit.get("error"):
-                        unit["error"] = outcome.error
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], group,
-                            unit["seed"], False, outcome.seconds,
-                            status=outcome.status, error=outcome.error,
-                        )
-                    )
-            if spool is not None:
+            if spool is None:
+                run_wave([(rep, make_task("full", rep)) for rep in reps if rep.pending])
+            else:
+                # Wave 1: the missed generations, each publishing its
+                # topology into the spool and handing back only a handle.
+                run_wave([
+                    (rep, make_task("generate", rep, spool=spool))
+                    for rep in reps if rep.pending and rep.handle is None
+                ])
+                # Wave 2: every pending group of every replicate with a
+                # published topology is its own unit — retries re-attach
+                # (a dict lookup after the first touch), never regenerate,
+                # and a failure costs one group, not the replicate.
+                run_wave([
+                    (rep, make_task("measure", rep, groups=(group,)))
+                    for rep in reps if rep.handle is not None
+                    for group in rep.pending
+                ])
                 # Refcounted cleanup: each replicate took one reference at
                 # probe/publish time; dropping it lets an ephemeral spool
                 # unlink the snapshot immediately (persistent spools keep
                 # theirs for the next run to attach).
-                for unit in units:
-                    if unit["gen_key"] is not None:
-                        spool.release(unit["gen_key"])
+                for rep in reps:
+                    if rep.handle is not None:
+                        spool.release(rep.gen_key)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
@@ -1280,12 +1185,10 @@ def run_battery(
         entries: List[BatteryEntry] = []
         for label, generator in spec:
             _, params = _identity(generator)
-            model_units = [u for u in units if u["label"] == label]
+            model_reps = [rep for rep in reps if rep.label == label]
             summaries: List[Union[TopologySummary, PartialSummary]] = []
-            for unit in model_units:
-                merged: Dict[str, float] = {}
-                for group_values in unit["values"].values():
-                    merged.update(group_values)
+            for rep in model_reps:
+                merged = rep.merged()
                 if set(merged) == all_fields:
                     summaries.append(TopologySummary.from_dict(label, merged))
                 else:
@@ -1296,19 +1199,19 @@ def run_battery(
                     # TopologySummary group set, so a partial summary says
                     # what a full summary would still need — extra groups
                     # (e.g. robustness) appear in ``groups``, never here.
-                    present = tuple(g for g in group_names if g in unit["values"])
-                    missing = tuple(g for g in METRIC_GROUPS if g not in unit["values"])
+                    present = tuple(g for g in group_names if g in rep.values)
+                    missing = tuple(g for g in METRIC_GROUPS if g not in rep.values)
                     summaries.append(
                         PartialSummary(
                             name=label, values=merged, groups=present,
-                            missing=missing, error=unit.get("error"),
+                            missing=missing, error=rep.error,
                         )
                     )
             entries.append(
                 BatteryEntry(
                     model=label,
                     params=params,
-                    seeds=tuple(u["seed"] for u in model_units),
+                    seeds=tuple(rep.seed for rep in model_reps),
                     summaries=tuple(summaries),
                 )
             )
@@ -1350,23 +1253,14 @@ def _summarize_target(
         )
     from ..datasets.asmap import reference_as_map
 
-    values: Dict[str, float] = {}
-    pending: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-    for group in METRIC_GROUPS:
-        payload = _cell_payload("__reference_as_map__", {}, n, 0, group, sum_params)
-        key = canonical_key(payload)
-        hit = store.get(key, payload)
-        if hit is not None:
-            values.update(hit)
-        else:
-            pending[group] = (key, payload)
-    if pending:
+    rep = Replicate.keyed(
+        "reference", "__reference_as_map__", {}, n, 0, tuple(METRIC_GROUPS), sum_params
+    )
+    rep.probe(store)
+    if rep.pending:
         graph = reference_as_map(n)
-        computed = compute_metric_groups(graph, tuple(pending), seed=0, **sum_params)
-        for group, (key, payload) in pending.items():
-            store.put(key, computed[group], payload)
-            values.update(computed[group])
-    return TopologySummary.from_dict("reference", values)
+        rep.put(store, compute_metric_groups(graph, rep.pending, seed=0, **sum_params))
+    return TopologySummary.from_dict("reference", rep.merged())
 
 
 def compare_models(

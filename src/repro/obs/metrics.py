@@ -197,7 +197,9 @@ def diff_snapshots(
 
     Counters subtract; gauges report the *after* value; histograms
     subtract count/sum (min/max are not invertible and keep the after
-    values).  Instruments absent from *before* are treated as zero.
+    values, except that a histogram with no observations in between
+    reports ``0.0`` for both, like an empty histogram).  Instruments
+    absent from *before* are treated as zero.
     """
     before_counters = before.get("counters", {})
     counters = {
@@ -208,11 +210,12 @@ def diff_snapshots(
     before_hists = before.get("histograms", {})
     for name, summary in after.get("histograms", {}).items():
         prior = before_hists.get(name, {})
+        count = summary["count"] - prior.get("count", 0)
         histograms[name] = {
-            "count": summary["count"] - prior.get("count", 0),
+            "count": count,
             "sum": summary["sum"] - prior.get("sum", 0.0),
-            "min": summary["min"],
-            "max": summary["max"],
+            "min": summary["min"] if count else 0.0,
+            "max": summary["max"] if count else 0.0,
         }
     return {
         "counters": counters,

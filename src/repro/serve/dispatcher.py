@@ -26,7 +26,11 @@ A :class:`ServeDispatcher` owns everything long-lived about the service:
 
 Work reaching the pool is micro-batched: all of a request's pending
 metric groups ride one ``measure`` task against one shared attached
-view, never one task per group.
+view, never one task per group.  Requests are the battery's typed
+:class:`~repro.core.battery.Replicate` records, their tasks come from
+the battery's :func:`~repro.core.battery.build_task`, and they run
+through its executor (:func:`~repro.core.battery.run_tasks`), so a
+served task is contained and retried exactly like a battery unit.
 
 Startup calls :meth:`SnapshotSpool.reap_staging`, so staging directories
 orphaned by a killed server process are removed the next time the
@@ -41,18 +45,18 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future
-from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.battery import (
+    Replicate,
     WorkerPool,
     _identity,
     _summarize_target,
-    cell_payload,
-    generation_payload,
+    _UnitOutcome,
+    build_task,
+    run_tasks,
 )
 from ..core.cache import ResultCache, canonical_key
 from ..core.compare import compare_summaries
@@ -102,26 +106,19 @@ class _Flight:
         self.waiters = 1
 
 
-@dataclass
-class _SummarizePlan:
-    """A normalized summarize request: resolved generator plus the exact
-    cache-cell keys the battery would use for the same inputs."""
-
-    label: str
-    generator: Any
-    identity: str
-    cache_params: Dict[str, Any]
-    n: int
-    seed: int
-    groups: Tuple[str, ...]
-    cells: Dict[str, Tuple[str, Dict[str, Any]]] = field(default_factory=dict)
-
-
 def _coerce_int(value: Any, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ServeError(f"{name} must be an integer, got {value!r}")
+    """A strict integer: ints, integral floats and decimal strings (GET
+    query parameters arrive as strings); never a bool or a fraction."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ServeError(f"{name} must be an integer, got {value!r}")
 
 
 class ServeDispatcher:
@@ -142,8 +139,11 @@ class ServeDispatcher:
     threads:
         Dispatcher threads draining the queue (default: ``jobs``).
     unit_timeout / retries:
-        Per-task containment, as in the battery runner: a hung or broken
-        pool is rebuilt (reaping spool staging) and the task retried.
+        Per-task containment through the battery's executor
+        (:func:`repro.core.battery.run_tasks`): a task whose worker
+        raises, hangs or dies is retried up to ``retries`` times before
+        its request fails; a hung or broken pool is rebuilt (reaping
+        spool staging) on the way.
     """
 
     def __init__(
@@ -346,12 +346,7 @@ class ServeDispatcher:
                 raise ServeError("compare scores the full battery; omit groups")
             plan = self._summarize_plan(params, groups)
             if op == "generate":
-                gen_key = canonical_key(
-                    generation_payload(
-                        plan.identity, plan.cache_params, plan.n, plan.seed
-                    )
-                )
-                body = {"generation": gen_key}
+                body = {"generation": plan.gen_key}
             else:
                 body = {"cells": sorted(k for k, _ in plan.cells.values())}
             return {
@@ -418,7 +413,7 @@ class ServeDispatcher:
 
     def _summarize_plan(
         self, params: Mapping[str, Any], groups: Optional[Sequence[str]]
-    ) -> _SummarizePlan:
+    ) -> Replicate:
         model = params.get("model")
         if not model:
             raise ServeError("request requires a model")
@@ -444,22 +439,10 @@ class ServeDispatcher:
             )
         else:
             seed = _coerce_int(params.get("seed", 0), "seed")
-        plan = _SummarizePlan(
-            label=str(model),
-            generator=generator,
-            identity=identity,
-            cache_params=generator.cache_params(n),
-            n=n,
-            seed=seed,
-            groups=self._groups(groups),
+        return Replicate.keyed(
+            str(model), identity, generator.cache_params(n), n, seed,
+            self._groups(groups), self._sum_params, generator=generator,
         )
-        for group in plan.groups:
-            payload = cell_payload(
-                plan.identity, plan.cache_params, plan.n, plan.seed, group,
-                self._sum_params,
-            )
-            plan.cells[group] = (canonical_key(payload), payload)
-        return plan
 
     # ------------------------------------------------------------- execution
 
@@ -485,49 +468,31 @@ class ServeDispatcher:
             )
         raise ServeError(f"unknown operation {op!r}")  # pragma: no cover
 
-    def _run_worker_task(self, task: Dict[str, Any]) -> Tuple[
-        Dict[str, Dict[str, float]], Dict[str, float], float, Dict[str, Any]
-    ]:
-        """Run one battery task on the warm pool with containment.
+    def _run(self, task: Dict[str, Any]) -> _UnitOutcome:
+        """Run one task on the warm pool through the battery executor;
+        a unit that is still failing after its retries fails the request."""
+        (outcome,) = run_tasks(
+            [task], self.unit_timeout, self.retries, pool=self.pool,
+            on_rebuild=self._pool_rebuilt,
+        )
+        if outcome.status != "ok":
+            raise RuntimeError(
+                f"serve unit failed after {self.retries + 1} attempts: {outcome.error}"
+            )
+        return outcome
 
-        Worker exceptions propagate (the request fails, the pool lives);
-        a hung or broken pool is rebuilt — reaping spool staging — and the
-        task retried up to ``retries`` times.
-        """
-        registry = get_registry()
-        last_error: Optional[str] = None
-        for attempt in range(self.retries + 1):
-            future = self.pool.submit(task)
-            try:
-                _, values, timings, gen_seconds, _, extras = future.result(
-                    timeout=self.unit_timeout
-                )
-            except FuturesTimeout:
-                future.cancel()
-                last_error = (
-                    f"unit did not finish within the {self.unit_timeout}s timeout"
-                )
-            except BrokenExecutor as exc:
-                last_error = f"worker process died abruptly ({exc!r})"
-            else:
-                if extras.get("metrics"):
-                    registry.merge(extras["metrics"])
-                return values, timings, gen_seconds, extras
-            registry.counter("serve.pool.rebuilds").inc()
-            self.pool.rebuild()
-            self.spool.reap_staging()
-        raise RuntimeError(f"serve unit failed after {self.retries + 1} attempts: {last_error}")
+    def _pool_rebuilt(self) -> None:
+        get_registry().counter("serve.pool.rebuilds").inc()
+        self.spool.reap_staging()
 
-    def _ensure_handle(self, plan: _SummarizePlan) -> Tuple[Any, bool]:
-        """The plan's topology as a shared handle, generating at most once.
+    def _ensure_handle(self, rep: Replicate) -> Tuple[Any, bool]:
+        """The replicate's topology as a shared handle, generating at most once.
 
         Concurrent callers needing the same not-yet-spooled topology
         coalesce on the generation key; the loser(s) attach the winner's
         published snapshot.  Returns (handle, generated-by-this-call).
         """
-        gen_key = canonical_key(
-            generation_payload(plan.identity, plan.cache_params, plan.n, plan.seed)
-        )
+        gen_key = rep.gen_key
         registry = get_registry()
         with self._lock:
             flight = self._gen_inflight.get(gen_key)
@@ -543,34 +508,17 @@ class ServeDispatcher:
             return handle, False
         try:
             handle = self.spool.probe(gen_key)
+            generated = handle is None
             if handle is not None:
                 registry.counter("serve.generations.cached").inc()
-                generated = False
             else:
-                task = {
-                    "index": 0,
-                    "kind": "generate",
-                    "generator": plan.generator,
-                    "n": plan.n,
-                    "seed": plan.seed,
-                    "spool_path": str(self.spool.path_for(gen_key)),
-                    "obs": {
-                        "trace": False, "profile_dir": None,
-                        "model": plan.label, "replicate": None,
-                        "label": f"serve-{plan.label}-gen",
-                    },
-                }
-                _, _, _, extras = self._run_worker_task(task)
-                handle = extras.get("handle")
-                if handle is None:
-                    raise RuntimeError("generation returned no handle")
+                handle = self._run(build_task("generate", rep, spool=self.spool)).handle
                 self.spool.adopt(gen_key, handle)
                 registry.counter("serve.generations.computed").inc()
                 self.journal.emit(
-                    "serve_generation", model=plan.label, n=plan.n,
-                    seed=plan.seed, key=gen_key,
+                    "serve_generation", model=rep.label, n=rep.n,
+                    seed=rep.seed, key=gen_key,
                 )
-                generated = True
             flight.set_result((handle, generated))
             return handle, generated
         except BaseException as exc:
@@ -580,67 +528,40 @@ class ServeDispatcher:
             with self._lock:
                 self._gen_inflight.pop(gen_key, None)
 
-    def _measure(
-        self,
-        plan_label: str,
-        handle: Any,
-        seed: int,
-        pending: Mapping[str, Tuple[str, Dict[str, Any]]],
-    ) -> Dict[str, Dict[str, float]]:
-        """One micro-batched measure task: every pending group of the
-        request against one shared attached view."""
-        task = {
-            "index": 0,
-            "kind": "measure",
-            "handle": handle,
-            "seed": seed,
-            "groups": tuple(pending),
-            "sum_params": self._sum_params,
-            "obs": {
-                "trace": False, "profile_dir": None, "model": plan_label,
-                "replicate": None, "label": f"serve-{plan_label}-measure",
-            },
-        }
-        values, _, _, _ = self._run_worker_task(task)
-        get_registry().counter("serve.cells.computed").inc(len(pending))
-        return values
-
-    def _execute_summarize(self, plan: _SummarizePlan) -> Dict[str, Any]:
+    def _serve_cells(
+        self, rep: Replicate, world: Optional[GraphStore] = None
+    ) -> Dict[str, Any]:
+        """Probe *rep*'s cells, measure the misses in one micro-batched
+        ``measure`` task, and put them back.  The topology is the stored
+        *world*'s own snapshot when given, else the spooled generation."""
         registry = get_registry()
-        values: Dict[str, Dict[str, float]] = {}
-        cached: List[str] = []
-        pending: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        for group in plan.groups:
-            key, payload = plan.cells[group]
-            hit = self.cache.get(key, payload)
-            if hit is not None:
-                values[group] = hit
-                cached.append(group)
-                registry.counter("serve.cells.cached").inc()
-            else:
-                pending[group] = (key, payload)
+        cached = rep.probe(self.cache)
+        if cached:
+            registry.counter("serve.cells.cached").inc(len(cached))
+        computed = rep.pending
         generated = False
-        if pending:
-            handle, generated = self._ensure_handle(plan)
-            computed = self._measure(plan.label, handle, plan.seed, pending)
-            for group, (key, payload) in pending.items():
-                self.cache.put(key, computed[group], payload)
-                values[group] = computed[group]
-        merged: Dict[str, float] = {}
-        for group in plan.groups:
-            merged.update(values[group])
+        if computed:
+            if world is None:
+                rep.handle, generated = self._ensure_handle(rep)
+            else:
+                world.csr()  # ensure the sidecar snapshot exists and is fresh
+                rep.handle = handle_for_snapshot(world.snapshot_path)
+            rep.put(self.cache, self._run(build_task("measure", rep)).values)
+            registry.counter("serve.cells.computed").inc(len(computed))
         return {
-            "model": plan.label,
-            "n": plan.n,
-            "seed": plan.seed,
-            "groups": list(plan.groups),
+            "n": rep.n,
+            "seed": rep.seed,
+            "groups": list(rep.cells),
             "cached_groups": cached,
-            "computed_groups": sorted(pending),
+            "computed_groups": sorted(computed),
             "generated": int(generated),
-            "values": merged,
+            "values": rep.merged(),
         }
 
-    def _execute_generate(self, plan: _SummarizePlan) -> Dict[str, Any]:
+    def _execute_summarize(self, plan: Replicate) -> Dict[str, Any]:
+        return {"model": plan.label, **self._serve_cells(plan)}
+
+    def _execute_generate(self, plan: Replicate) -> Dict[str, Any]:
         handle, generated = self._ensure_handle(plan)
         return {
             "model": plan.label,
@@ -653,7 +574,7 @@ class ServeDispatcher:
             "nbytes": handle.nbytes,
         }
 
-    def _execute_compare(self, plan: _SummarizePlan) -> Dict[str, Any]:
+    def _execute_compare(self, plan: Replicate) -> Dict[str, Any]:
         # The reference-map target caches through the same store as the
         # model cells (see _summarize_target), so a warm compare is pure
         # cache reads; the model summary runs inline here — never through
@@ -758,41 +679,11 @@ class ServeDispatcher:
         store = self._open_world(world)
         generator = StoredTopologyGenerator(store.path)
         identity, params = _identity(generator)
-        n = generator.num_nodes
-        registry = get_registry()
-        values: Dict[str, Dict[str, float]] = {}
-        cached: List[str] = []
-        pending: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        for group in groups:
-            payload = cell_payload(identity, params, n, seed, group, self._sum_params)
-            key = canonical_key(payload)
-            hit = self.cache.get(key, payload)
-            if hit is not None:
-                values[group] = hit
-                cached.append(group)
-                registry.counter("serve.cells.cached").inc()
-            else:
-                pending[group] = (key, payload)
-        if pending:
-            store.csr()  # ensure the sidecar snapshot exists and is fresh
-            handle = handle_for_snapshot(store.snapshot_path)
-            computed = self._measure(f"world-{world}", handle, seed, pending)
-            for group, (key, payload) in pending.items():
-                self.cache.put(key, computed[group], payload)
-                values[group] = computed[group]
-        merged: Dict[str, float] = {}
-        for group in groups:
-            merged.update(values[group])
-        return {
-            "world": world,
-            "n": n,
-            "seed": seed,
-            "groups": list(groups),
-            "cached_groups": cached,
-            "computed_groups": sorted(pending),
-            "generated": 0,
-            "values": merged,
-        }
+        rep = Replicate.keyed(
+            f"world-{world}", identity, params, generator.num_nodes, seed,
+            groups, self._sum_params, generator=generator,
+        )
+        return {"world": world, **self._serve_cells(rep, store)}
 
     # ----------------------------------------------------------------- stats
 

@@ -122,6 +122,17 @@ class TestMetricsReconciliation:
             cold.metrics["counters"]["battery.cells.computed"]
         )
 
+    def test_warm_run_reports_idle_unit_histogram(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        cold = _run(cache=cache)
+        warm = _run(cache=cache)
+        assert cold.metrics["histograms"]["battery.unit.seconds"]["max"] > 0
+        # The warm run ran no unit: its delta must not inherit the cold
+        # run's extremes.
+        idle = warm.metrics["histograms"]["battery.unit.seconds"]
+        assert idle["count"] == 0
+        assert idle["max"] == 0.0 and idle["min"] == 0.0
+
 
 class TestResourceSamples:
     @pytest.mark.parametrize("jobs", [1, 2])

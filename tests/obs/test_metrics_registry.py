@@ -152,6 +152,20 @@ class TestDiffSnapshots:
         assert delta["histograms"]["unit.s"]["sum"] == 0.0
         assert hist.count == 0
 
+    def test_diff_idle_histogram_reports_zero_min_max(self, registry):
+        hist = registry.histogram("unit.s")
+        hist.observe(2.5)
+        before = registry.snapshot()
+        delta = diff_snapshots(registry.snapshot(), before)
+        # Nothing was observed in between: no stale "after" extremes.
+        assert delta["histograms"]["unit.s"] == {
+            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
+        }
+        hist.observe(1.0)
+        delta = diff_snapshots(registry.snapshot(), before)
+        assert delta["histograms"]["unit.s"]["count"] == 1
+        assert delta["histograms"]["unit.s"]["max"] == 2.5  # after-extreme
+
     def test_gauges_report_after_value(self, registry):
         registry.gauge("jobs").set(1)
         before = registry.snapshot()

@@ -5,23 +5,69 @@ served values are bit-identical to a direct in-process summarize on the
 same inputs; a repeat request is pure cache reads with zero compute and
 zero generations; identical in-flight requests coalesce onto one future;
 the bounded queue sheds load as :class:`ServeBusy`; malformed requests
-fail fast as :class:`ServeError` without occupying queue space; and a
+fail fast as :class:`ServeError` without occupying queue space; a
 service restarting over a killed predecessor's root reaps its orphaned
-spool staging directories.
+spool staging directories; and a failing worker task is contained
+exactly as a battery unit is — retried, then failing only its own
+request, with a hung pool rebuilt.
 """
 
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.core import make_generator, summarize
+from repro.core import make_generator, registry, summarize
 from repro.core.battery import _identity
+from repro.generators.barabasi_albert import BarabasiAlbertGenerator
+from repro.generators.base import TopologyGenerator
 from repro.obs import get_registry
 from repro.serve import ServeBusy, ServeDispatcher, ServeError
 from repro.stats.rng import derive_seed
 
 N = 150
 MODEL = "albert-barabasi"
+
+#: How long the "sleep" fault outruns the timeout dispatcher's limit.
+SLEEP_SECONDS = 8.0
+
+
+class FaultyGenerator(TopologyGenerator):
+    """BA(m=2) with an injected worker fault, chosen per request.
+
+    Module-level so it pickles into pool workers.  ``fault`` is
+    ``"transient"`` (raise on the first attempt per seed, tracked by a
+    sentinel file under ``state_dir``), ``"crash"`` (always raise),
+    ``"sleep"`` (sleep :data:`SLEEP_SECONDS` first) or ``""`` (healthy).
+    """
+
+    name = "serve-faulty"
+
+    def __init__(self, fault="", state_dir=""):
+        self.m = 2
+        self.fault = fault
+        self.state_dir = state_dir
+        self._delegate = BarabasiAlbertGenerator(m=2)
+
+    def generate(self, n, seed=None):
+        if self.fault == "crash":
+            raise RuntimeError(f"injected crash for seed {seed}")
+        if self.fault == "transient":
+            sentinel = Path(self.state_dir) / f"attempted-{seed}"
+            if not sentinel.exists():
+                sentinel.write_text("1")
+                raise RuntimeError(f"transient injected crash for seed {seed}")
+        if self.fault == "sleep":
+            time.sleep(SLEEP_SECONDS)
+        return self._delegate.generate(n, seed=seed)
+
+
+@pytest.fixture
+def faulty(monkeypatch):
+    """Register :class:`FaultyGenerator` for one test only."""
+    monkeypatch.setitem(registry._REGISTRY, FaultyGenerator.name, FaultyGenerator)
+    return FaultyGenerator.name
 
 
 def _counter(name):
@@ -209,6 +255,19 @@ class TestValidation:
             cold.submit("summarize", {"model": MODEL, "n": 0})
         with pytest.raises(ServeError, match="must be an integer"):
             cold.submit("summarize", {"model": MODEL, "n": "many"})
+        # Booleans and fractions are not integers, even though int()
+        # would silently accept them (True -> 1, 2.9 -> 2).
+        for bad in (True, False, 2.9, "2.9", None, [150]):
+            with pytest.raises(ServeError, match="must be an integer"):
+                cold.submit("summarize", {"model": MODEL, "n": bad})
+        with pytest.raises(ServeError, match="seed must be an integer"):
+            cold.submit("summarize", {"model": MODEL, "n": N, "seed": 2.9})
+
+    def test_integral_values_and_decimal_strings_accepted(self, cold):
+        plain = cold._plan("summarize", {"model": MODEL, "n": N, "seed": 2})
+        for n, seed in ((float(N), 2.0), (str(N), "2")):
+            plan = cold._plan("summarize", {"model": MODEL, "n": n, "seed": seed})
+            assert plan["key"] == plain["key"]
 
     def test_unknown_op(self, cold):
         with pytest.raises(ServeError, match="unknown operation"):
@@ -248,6 +307,54 @@ class TestStagingReapOnRestart:
             assert second.stats()["reaped_at_start"] == 1
         finally:
             second.shutdown()
+
+
+class TestContainment:
+    def test_transient_worker_exception_recovers_on_retry(
+        self, dispatcher, faulty, tmp_path
+    ):
+        params = {"fault": "transient", "state_dir": str(tmp_path)}
+        result = dispatcher.call(
+            "summarize", {"model": faulty, "n": N, "seed": 3, "params": params}
+        )
+        assert (tmp_path / "attempted-3").exists()  # the first attempt did fail
+        graph = BarabasiAlbertGenerator(m=2).generate(N, seed=3)
+        assert result["values"] == summarize(graph, seed=3).as_dict()
+
+    def test_deterministic_exception_fails_only_its_request(
+        self, dispatcher, faulty
+    ):
+        rebuilds = dispatcher.pool.rebuilds
+        with pytest.raises(RuntimeError, match="injected crash"):
+            dispatcher.call(
+                "summarize",
+                {"model": faulty, "n": N, "seed": 4, "params": {"fault": "crash"}},
+                timeout=300,
+            )
+        # The pool survived (an exception is not a broken pool) and the
+        # next request is served normally.
+        assert dispatcher.pool.rebuilds == rebuilds
+        result = dispatcher.call("summarize", {"model": faulty, "n": N, "seed": 4})
+        assert result["values"]["num_nodes"] == N
+
+    def test_overrunning_task_rebuilds_the_pool(self, tmp_path, faulty):
+        d = ServeDispatcher(
+            jobs=1, root=tmp_path / "root", threads=1, unit_timeout=3.0,
+            retries=0,
+        )
+        try:
+            with pytest.raises(RuntimeError, match="timeout"):
+                d.call(
+                    "summarize",
+                    {"model": faulty, "n": N, "seed": 5, "params": {"fault": "sleep"}},
+                    timeout=300,
+                )
+            assert d.stats()["pool_rebuilds"] >= 1
+            result = d.call("summarize", {"model": faulty, "n": N, "seed": 5})
+            assert result["values"]["num_nodes"] == N
+            assert not list(d.spool.root.rglob("*.tmp"))
+        finally:
+            d.shutdown()
 
 
 class TestStats:

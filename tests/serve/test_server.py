@@ -102,6 +102,13 @@ class TestErrorMapping:
             service._request("PUT", "/worlds/..", {"model": MODEL, "n": N})
         assert excinfo.value.status == 400
 
+    def test_non_integer_n_is_400(self, service):
+        for bad in (True, 2.5):
+            with pytest.raises(ServeClientError) as excinfo:
+                service._request("POST", "/summarize", {"model": MODEL, "n": bad})
+            assert excinfo.value.status == 400
+            assert "must be an integer" in excinfo.value.message
+
     def test_non_object_body_is_400(self, service):
         request = urllib.request.Request(
             service.base_url + "/summarize",

@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--param", action="append", metavar="KEY=VALUE")
     gen.add_argument(
         "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine (vector is the batch fast path; auto "
-        "picks by target size)",
+        help="growth-kernel engine of the engine-sensitive generators "
+        "(vector is the batch fast path; auto picks by target size)",
     )
 
     summ = sub.add_parser("summarize", help="metric battery on an edge-list file")
@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_cmd.add_argument("--param", action="append", metavar="KEY=VALUE")
     cmp_cmd.add_argument(
         "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine (vector is the batch fast path; auto "
-        "picks by target size)",
+        help="growth-kernel engine of the engine-sensitive generators "
+        "(vector is the batch fast path; auto picks by target size)",
     )
 
     battery = sub.add_parser(
@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     ssave.add_argument("--param", action="append", metavar="KEY=VALUE")
     ssave.add_argument(
         "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine (vector is the batch fast path; auto "
-        "picks by target size)",
+        help="growth-kernel engine of the engine-sensitive generators "
+        "(vector is the batch fast path; auto picks by target size)",
     )
     ssave.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="K",
@@ -414,8 +414,9 @@ def _add_battery_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine for the roster's generators (vector is "
-        "the batch fast path; auto picks by target size)",
+        help="growth-kernel engine for the roster's engine-sensitive "
+        "generators (vector is the batch fast path; auto picks by target "
+        "size)",
     )
     parser.add_argument(
         "--transport", default="auto", choices=("auto", "regenerate", "shared"),

@@ -100,7 +100,7 @@ from .transport import (
     SharedGraphHandle,
     SnapshotSpool,
     attach_graph,
-    publish_graph,
+    publish_to_spool,
     resolve_mp_context,
     resolve_transport,
 )
@@ -643,7 +643,7 @@ def _battery_task(task: Dict[str, Any]) -> _UnitOutcome:
                 else:
                     graph = attach_graph(task["handle"])
                 if kind == "generate":
-                    handle = publish_graph(
+                    handle = publish_to_spool(
                         graph, task["spool_path"], name=model or ""
                     )
                 else:
@@ -1116,7 +1116,7 @@ def run_battery(
             identity, params = _identity(generator)
             # Engine-sensitive generators produce engine-dependent graphs, so
             # the resolved engine joins their cache cell (and only theirs —
-            # draw-order-preserving generators stay engine-transparent).  The
+            # single-kernel generators stay engine-transparent).  The
             # seed derivation stays on the plain params either way: the same
             # roster must map to the same seeds under every engine.
             cache_params = generator.cache_params(n)

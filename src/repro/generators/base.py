@@ -53,12 +53,12 @@ class TopologyGenerator(abc.ABC):
     #: Unique registry name, e.g. ``"barabasi-albert"``.
     name: str = ""
 
-    #: True when the vector engine cannot replay the python engine's draw
-    #: order (it aggregates draws), so the two engines produce different —
-    #: distributionally equivalent — graphs for the same seed.  The
-    #: resolved engine then joins the generator's battery cache identity
-    #: (see :meth:`cache_params`); draw-order-preserving generators keep
-    #: engine out of the key because both engines build the same graph.
+    #: True for families with two growth kernels whose vector engine
+    #: aggregates draws, so the engines produce different — distributionally
+    #: equivalent — graphs for the same seed.  The resolved engine then
+    #: joins the generator's battery cache identity (see
+    #: :meth:`cache_params`); single-kernel families ignore ``engine`` and
+    #: keep it out of the key.
     engine_sensitive: bool = False
 
     @property
@@ -67,7 +67,7 @@ class TopologyGenerator(abc.ABC):
 
         Stored outside :meth:`params` (an underscore attribute behind this
         property), so selecting an engine never perturbs provenance or the
-        cache/seed identity of draw-order-preserving generators.
+        cache/seed identity of single-kernel generators.
         """
         return getattr(self, "_engine", "auto")
 
@@ -85,7 +85,7 @@ class TopologyGenerator(abc.ABC):
     def cache_params(self, n: int) -> Dict[str, Any]:
         """Parameters that identify a generate(*n*) output for caching.
 
-        Equal to :meth:`params` for draw-order-preserving generators; for
+        Equal to :meth:`params` for single-kernel generators; for
         ``engine_sensitive`` ones the resolved engine is added, so battery
         cells computed by different engines occupy different cache cells.
         """

@@ -1,28 +1,26 @@
 """Engine selection for the generator layer.
 
 Mirrors the metric kernels' ``backend=`` contract (:mod:`repro.graph.csr`)
-one layer up: every vectorizable generator takes an ``engine`` argument —
+one layer up.  The six *engine-sensitive* families (``engine_sensitive =
+True`` — Barabási–Albert, Albert–Barabási, Bianconi–Barabási, GLP, PFP and
+Serrano) carry two growth kernels and take an ``engine`` argument:
 
 * ``"python"`` — the original scalar growth loop, the reference
   implementation whose draw sequence is the seed contract;
 * ``"vector"`` — batch growth kernels: attachment targets drawn in blocks
   from precomputed kernel arrays (cumulative-weight ``searchsorted``,
-  endpoint pools), edge probabilities evaluated over pairwise-distance
-  blocks, and edges committed through :meth:`repro.graph.graph.Graph.
-  add_edges` bulk inserts;
+  endpoint pools, batch rejection sampling, batched pair matching);
 * ``"auto"`` — consult the ``REPRO_ENGINE`` environment variable, then
-  pick ``vector`` at or above :data:`AUTO_VECTOR_THRESHOLD` nodes (batch
-  setup costs more than it saves on small graphs).
+  pick ``vector`` at or above :data:`AUTO_VECTOR_THRESHOLD` nodes.
 
-Determinism contract: generators whose vector kernels replay the python
-engine's draw order bit-identically (``engine_sensitive = False``) produce
-the *same graph* for the same seed on either engine, asserted by
-fingerprint tests.  Generators whose vector kernels aggregate draws
-(``engine_sensitive = True`` — Serrano's batched pair matching, the
-preference models' batch rejection sampling) produce *distributionally
-equivalent* graphs, gated by KS/band tests, and the resolved engine joins
-their battery cache key so cells computed by different engines never
-collide.
+The vector kernels aggregate draws, so the two engines build
+*distributionally equivalent* rather than identical graphs (gated by
+KS/band tests), and the resolved engine joins these families' battery
+cache key so cells computed by different engines never collide.
+
+Every other family has exactly one kernel and ignores ``engine``; the
+tests pin the graphs of those that once had two (waxman, plrg,
+transit-stub, inet, brite) to recorded fingerprints.
 """
 
 from __future__ import annotations
@@ -40,9 +38,10 @@ __all__ = [
 ENGINES = ("auto", "python", "vector")
 
 #: ``engine="auto"`` picks the vector path at or above this many nodes.
-#: Chosen above every size the tier-1 suite generates (≤ 5 000), so the
-#: default test surface keeps exercising the reference loops, while
-#: full-scale runs (the 11 000-node 2001 AS map) flip to the fast path.
+#: Not a measured crossover: moving it would change which graph an
+#: engine-sensitive family builds for a given (n, seed), and the resolved
+#: engine in that family's cache key, so every cell computed between the
+#: old and new threshold would be recomputed.  That is why it stays here.
 AUTO_VECTOR_THRESHOLD = 6000
 
 #: Environment variable consulted by ``engine="auto"`` (values: ``python``,

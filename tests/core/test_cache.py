@@ -129,7 +129,12 @@ class TestResultCache:
         assert cache.stats.corrupt == 1
 
     def test_corrupt_entry_recomputed_end_to_end(self, tmp_path):
-        fast = {"min_tail": 20, "path_samples": 50, "path_sample_threshold": 100}
+        # Pinned to regenerate: the assertions count full-shape cells, and
+        # a shared run would add snapshot files under the cache directory.
+        fast = {
+            "min_tail": 20, "path_samples": 50, "path_sample_threshold": 100,
+            "transport": "regenerate",
+        }
         first = run_battery(["glp"], n=120, seeds=1, cache=str(tmp_path), **fast)
         # Smash every cache file, then rerun: values must match the
         # originals (recomputed), not crash and not garbage.

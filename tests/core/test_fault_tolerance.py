@@ -30,6 +30,7 @@ from repro.core import (
     compare_models,
     run_battery,
 )
+from repro.core.transport import REPRO_TRANSPORT_DIR_ENV
 from repro.generators.barabasi_albert import BarabasiAlbertGenerator
 from repro.generators.base import TopologyGenerator
 from repro.stats.rng import derive_seed
@@ -60,20 +61,26 @@ class CrashingGenerator(TopologyGenerator):
 
 class SleepingGenerator(TopologyGenerator):
     """Delegates to BA, but sleeps past any sane timeout for the
-    configured seeds."""
+    configured seeds.  With *done_dir*, touches ``<done_dir>/<seed>``
+    when a sleeping generate returns, so a test can tell when an
+    abandoned worker has moved on."""
 
     name = "sleepy"
 
-    def __init__(self, sleep_seeds=(), sleep_seconds=2.0):
+    def __init__(self, sleep_seeds=(), sleep_seconds=2.0, done_dir=None):
         self.m = 2
         self._sleep_seeds = frozenset(sleep_seeds)
         self._sleep_seconds = sleep_seconds
+        self._done_dir = done_dir
         self._delegate = BarabasiAlbertGenerator(m=2)
 
     def generate(self, n, seed=None):
         if seed in self._sleep_seeds:
             time.sleep(self._sleep_seconds)
-        return self._delegate.generate(n, seed=seed)
+        graph = self._delegate.generate(n, seed=seed)
+        if seed in self._sleep_seeds and self._done_dir is not None:
+            (self._done_dir / str(seed)).touch()
+        return graph
 
 
 class FlakyOnceGenerator(TopologyGenerator):
@@ -228,6 +235,33 @@ class TestTimeout:
         # The other three units all completed.
         assert len(_full_summaries(result)) == 3
 
+    def test_abandoned_shared_generate_leaves_no_spool(self, monkeypatch, tmp_path):
+        """A timed-out ``generate`` unit keeps running in its abandoned
+        worker and publishes after the run has removed its ephemeral
+        spool; that publish must fail rather than recreate the spool."""
+        spools = tmp_path / "spools"
+        done = tmp_path / "done"
+        spools.mkdir()
+        done.mkdir()
+        monkeypatch.setenv(REPRO_TRANSPORT_DIR_ENV, str(spools))
+        victim = unit_seed("sleepy", 0)
+        sleepy = SleepingGenerator(
+            sleep_seeds=[victim], sleep_seconds=1.0, done_dir=done
+        )
+        result = run_battery(
+            {"sleepy": sleepy}, n=N, seeds=1, base_seed=BASE_SEED, jobs=2,
+            timeout=0.3, transport="shared", **FAST,
+        )
+        assert [f.status for f in result.failures] == ["timeout"]
+        deadline = time.monotonic() + 30.0
+        while not (done / str(victim)).exists():
+            assert time.monotonic() < deadline, "abandoned worker never woke"
+            time.sleep(0.05)
+        # Give the worker's publish attempt time to land (it takes
+        # milliseconds at this size).
+        time.sleep(1.0)
+        assert list(spools.iterdir()) == []
+
     def test_generous_timeout_is_a_no_op(self):
         clean = run_battery(
             ["barabasi-albert"], n=N, seeds=1, timeout=120.0, **FAST
@@ -282,7 +316,7 @@ class TestJournal:
         run_battery(
             _mixed_roster(CrashingGenerator(fail_seeds=[victim])),
             n=N, seeds=SEEDS, base_seed=BASE_SEED, jobs=jobs,
-            journal=journal, **FAST,
+            journal=journal, transport="regenerate", **FAST,
         )
         events = RunJournal.read(journal)
         kinds = [e["event"] for e in events]

@@ -9,7 +9,6 @@ property-based round trip drives the handle over the historically nasty
 graph shapes: isolated nodes, mixed int/str ids, accumulated weights.
 """
 
-import itertools
 import json
 import multiprocessing
 import os
@@ -28,6 +27,7 @@ from repro.core.transport import (
     REPRO_TRANSPORT_DIR_ENV,
     REPRO_TRANSPORT_ENV,
     SnapshotSpool,
+    SpoolClosedError,
     attach_graph,
     attach_view,
     clear_attach_cache,
@@ -69,9 +69,6 @@ def graphs(draw):
     return g
 
 
-_shm_tokens = itertools.count()
-
-
 class TestHandleRoundTrip:
     @given(graphs())
     @settings(max_examples=30, deadline=None)
@@ -92,24 +89,10 @@ class TestHandleRoundTrip:
             clear_attach_cache()
             unlink_shared(handle)
 
-    @given(graphs())
-    @settings(max_examples=15, deadline=None)
-    def test_shm_round_trip(self, g):
-        token = f"repro-test-{os.getpid():x}-{next(_shm_tokens):x}"
-        handle = publish_graph(g, token, method="shm")
-        try:
-            clear_attach_cache()
-            attached = attach_graph(handle)
-            assert attached.fingerprint() == g.fingerprint()
-            assert list(attached.nodes()) == list(g.nodes())
-        finally:
-            clear_attach_cache()
-            unlink_shared(handle)
-
     def test_handle_reports_identity_without_arrays(self, tmp_path):
         g = BarabasiAlbertGenerator(m=2).generate(80, seed=5)
         handle = publish_graph(g, tmp_path / "graph")
-        assert handle.method == "spool"
+        assert handle.location == str(tmp_path / "graph")
         assert handle.fingerprint == g.fingerprint()
         assert handle.num_nodes == 80
         assert handle.num_edges == g.num_edges
@@ -193,34 +176,30 @@ class TestAttachCacheLRU:
 
     def test_eviction_does_not_invalidate_in_use_views(self, tmp_path):
         """A view handed out before its entry was evicted must keep
-        reading valid data: eviction closes the shm segment quietly
-        (BufferError-tolerant) rather than tearing pages out from under
-        live readers."""
+        reading valid data: eviction only drops the cache's reference,
+        so the caller's memory-mapped arrays stay live — even once the
+        publisher has unlinked the snapshot directory."""
         graphs = [
             BarabasiAlbertGenerator(m=2).generate(40 + i, seed=i)
             for i in range(4)
         ]
-        token = f"repro-lru-{os.getpid():x}"
         handles = [
-            publish_graph(g, f"{token}-{i}", method="shm")
+            publish_graph(g, tmp_path / f"graph-{i}")
             for i, g in enumerate(graphs)
         ]
-        try:
-            live = attach_view(handles[0])
-            expected = live.edge_arrays()[0].sum()
-            for handle in handles[1:]:  # overflows the bound of 2
-                attach_view(handle)
-            # handles[0] has been evicted; the live view must still read.
-            assert live.edge_arrays()[0].sum() == expected
-            assert live.num_nodes == graphs[0].num_nodes
-            # Re-attach after eviction produces a fresh, equivalent view.
-            fresh = attach_view(handles[0])
-            assert fresh is not live
-            assert fresh.num_nodes == live.num_nodes
-        finally:
-            clear_attach_cache()
-            for handle in handles:
-                unlink_shared(handle)
+        live = attach_view(handles[0])
+        expected = live.edge_arrays()[0].sum()
+        for handle in handles[1:]:  # overflows the bound of 2
+            attach_view(handle)
+        # handles[0] has been evicted; the live view must still read.
+        assert live.edge_arrays()[0].sum() == expected
+        assert live.num_nodes == graphs[0].num_nodes
+        # Re-attach after eviction produces a fresh, equivalent view.
+        fresh = attach_view(handles[0])
+        assert fresh is not live
+        assert fresh.num_nodes == live.num_nodes
+        unlink_shared(handles[0])
+        assert live.edge_arrays()[0].sum() == expected
 
     def test_shrinking_limit_evicts_excess_immediately(self, tmp_path):
         from repro.core.transport import _attach_cache
@@ -247,7 +226,8 @@ class TestResolveTransport:
         with pytest.raises(ValueError, match="unknown transport"):
             resolve_transport("teleport")
 
-    def test_auto_threshold_on_n_and_groups(self):
+    def test_auto_threshold_on_n_and_groups(self, monkeypatch):
+        monkeypatch.delenv(REPRO_TRANSPORT_ENV, raising=False)
         assert resolve_transport("auto", AUTO_SHARED_NODES, AUTO_SHARED_GROUPS) == "shared"
         assert resolve_transport("auto", AUTO_SHARED_NODES - 1, 6) == "regenerate"
         assert resolve_transport("auto", AUTO_SHARED_NODES, AUTO_SHARED_GROUPS - 1) == "regenerate"
@@ -335,6 +315,37 @@ class TestSnapshotSpool:
         assert spool.reap_staging() == 1
         assert not orphan.exists()
         assert spool.probe("1c1d") is not None
+
+    def test_publish_into_removed_spool_fails(self, monkeypatch, tmp_path):
+        """A publish after cleanup (an abandoned worker finishing late)
+        must not recreate the removed spool root."""
+        monkeypatch.setenv(REPRO_TRANSPORT_DIR_ENV, str(tmp_path))
+        spool = SnapshotSpool()
+        spool.cleanup()
+        g = BarabasiAlbertGenerator(m=2).generate(60, seed=8)
+        with pytest.raises(SpoolClosedError):
+            spool.publish(g, "2e2f")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spool_removed_mid_publish_is_cleaned_up(self, monkeypatch, tmp_path):
+        """If cleanup lands between the root check and the snapshot write,
+        the write recreates the root; the publish must remove what it
+        recreated and fail."""
+        import repro.core.transport as transport
+
+        monkeypatch.setenv(REPRO_TRANSPORT_DIR_ENV, str(tmp_path))
+        spool = SnapshotSpool()
+        save = transport.save_csr_snapshot
+
+        def cleanup_then_save(*args, **kwargs):
+            spool.cleanup()
+            return save(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "save_csr_snapshot", cleanup_then_save)
+        g = BarabasiAlbertGenerator(m=2).generate(60, seed=9)
+        with pytest.raises(SpoolClosedError):
+            spool.publish(g, "3a3b")
+        assert list(tmp_path.iterdir()) == []
 
 
 class DyingGenerator(TopologyGenerator):

@@ -20,7 +20,8 @@ from repro.graph import (
     rich_club_coefficient,
     triangles_per_node,
 )
-from repro.graph.correlations import degree_assortativity, knn_by_degree
+from repro.graph import reference
+from repro.graph.correlations import average_neighbor_degree, degree_assortativity
 from repro.graph.shortest_paths import average_path_length, eccentricities
 from repro.stats import FenwickSampler
 
@@ -78,43 +79,70 @@ def test_micro_rich_club_2k(benchmark, ba_2k):
     assert result
 
 
-#: (label, callable(graph, backend), required speedup) for the CSR shoot-out.
-#: The ≥5x floors are the PR's acceptance bars on the two heaviest kernels;
-#: the remaining rows are recorded without a floor (tiny absolute times make
+#: (label, CSR kernel, python reference, required speedup) for the CSR
+#: shoot-out; both sides take the graph and do the same work.  The ≥5x
+#: floors are the acceptance bars on the two heaviest kernels; the
+#: remaining rows are recorded without a floor (tiny absolute times make
 #: their ratios noisy).
 _CSR_KERNELS = (
-    ("average_path_length", lambda g, b: average_path_length(g, backend=b), 5.0),
-    ("betweenness (exact)", lambda g, b: betweenness_centrality(g, backend=b), 5.0),
+    (
+        "average_path_length",
+        average_path_length,
+        lambda g: reference.path_length_distribution(g).mean,
+        5.0,
+    ),
+    (
+        "betweenness (exact)",
+        betweenness_centrality,
+        reference.betweenness_centrality,
+        5.0,
+    ),
     (
         "betweenness (50 pivots)",
-        lambda g, b: approximate_betweenness(g, num_pivots=50, seed=2, backend=b),
+        lambda g: approximate_betweenness(g, num_pivots=50, seed=2),
+        lambda g: reference.approximate_betweenness(g, num_pivots=50, seed=2),
         None,
     ),
-    ("eccentricities", lambda g, b: eccentricities(g, backend=b), None),
-    ("triangles_per_node", lambda g, b: triangles_per_node(g, backend=b), None),
-    ("core_numbers", lambda g, b: core_numbers(g, backend=b), None),
-    ("rich_club_coefficient", lambda g, b: rich_club_coefficient(g, backend=b), None),
-    ("knn_by_degree", lambda g, b: knn_by_degree(g, backend=b), None),
-    ("degree_assortativity", lambda g, b: degree_assortativity(g, backend=b), None),
+    ("eccentricities", eccentricities, reference.eccentricities, None),
+    ("triangles_per_node", triangles_per_node, reference.triangles_per_node, None),
+    ("core_numbers", core_numbers, reference.core_numbers, None),
+    (
+        "rich_club_coefficient",
+        rich_club_coefficient,
+        reference.rich_club_coefficient,
+        None,
+    ),
+    (
+        "average_neighbor_degree",
+        average_neighbor_degree,
+        reference.average_neighbor_degree,
+        None,
+    ),
+    (
+        "degree_assortativity",
+        degree_assortativity,
+        reference.degree_assortativity,
+        None,
+    ),
 )
 
 
 def test_micro_csr_kernel_speedups(record_text):
-    """Python vs CSR backend, per kernel, on one BA graph (n=3000).
+    """Python reference vs CSR kernel, per kernel, on one BA graph (n=3000).
 
-    Oracle first — both backends must return the same values — then the
+    Oracle first — both sides must return the same values — then the
     wall-clock table is written to ``output/csr_kernels.txt`` and the two
     headline kernels are held to the ≥5x acceptance floor.
     """
     graph = BarabasiAlbertGenerator(m=2).generate(3000, seed=1)
     rows = []
     floors = {}
-    for label, kernel, floor in _CSR_KERNELS:
+    for label, kernel, oracle, floor in _CSR_KERNELS:
         start = time.perf_counter()
-        python_value = kernel(graph, "python")
+        python_value = oracle(graph)
         python_s = time.perf_counter() - start
         start = time.perf_counter()
-        csr_value = kernel(graph, "csr")
+        csr_value = kernel(graph)
         csr_s = time.perf_counter() - start
         if isinstance(python_value, dict) and python_value and isinstance(
             next(iter(python_value.values())), float

@@ -1,9 +1,12 @@
 """Percolation-sweep shoot-out: python reference vs CSR fast path.
 
-One run per (strategy, backend) cell on a BA(m=2) graph at n = 3000,
-plus the sampled path-inflation sweep. Every timed pair is also an
-oracle: the backends must return bit-identical trajectories, so a
-timing run can never report a speedup for a divergent kernel. The
+One run per (strategy, implementation) cell on a BA(m=2) graph at
+n = 3000 — :func:`repro.resilience.attack.removal_sweep` against
+:func:`repro.resilience.percolation_sweep` — plus the sampled
+path-inflation sweep against :func:`repro.graph.reference.inflation_sweep`.
+Every timed pair is also an oracle: both sides must return bit-identical
+trajectories, so a timing run can never report a speedup for a divergent
+kernel. The
 table goes to ``output/resilience.txt``; the acceptance floor —
 median sweep speedup >= 3x — lives in ``perf_floors.json``
 (``resilience-median-speedup``) and is enforced against the published
@@ -16,10 +19,12 @@ import time
 
 from repro.core.report import format_table
 from repro.generators import BarabasiAlbertGenerator
+from repro.graph import reference
 from repro.resilience import (
     AttackStrategy,
     path_inflation_sweep,
     percolation_sweep,
+    removal_sweep,
 )
 
 N = 3000
@@ -61,12 +66,10 @@ def test_resilience_sweep_speedups(perf, record_text):
 
     for strategy in SWEEP_STRATEGIES:
         python_run, python_s = _timed(
-            percolation_sweep, graph=graph, strategy=strategy, seed=2,
-            backend="python",
+            removal_sweep, graph=graph, strategy=strategy, seed=2,
         )
         csr_run, csr_s = _timed(
             percolation_sweep, graph=graph, strategy=strategy, seed=2,
-            backend="csr",
         )
         assert _trajectories_equal(python_run, csr_run), strategy
         speedup = python_s / csr_s
@@ -75,12 +78,8 @@ def test_resilience_sweep_speedups(perf, record_text):
             ["percolation_sweep", strategy.value, python_s, csr_s, speedup]
         )
 
-    python_inf, python_s = _timed(
-        path_inflation_sweep, graph=graph, seed=2, backend="python",
-    )
-    csr_inf, csr_s = _timed(
-        path_inflation_sweep, graph=graph, seed=2, backend="csr",
-    )
+    python_inf, python_s = _timed(reference.inflation_sweep, graph=graph, seed=2)
+    csr_inf, csr_s = _timed(path_inflation_sweep, graph=graph, seed=2)
     assert _trajectories_equal(python_inf, csr_inf)
     rows.append(
         ["path_inflation_sweep", "random", python_s, csr_s, python_s / csr_s]

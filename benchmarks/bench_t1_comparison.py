@@ -82,51 +82,85 @@ def test_t1_battery_cache_and_parallel_speedup(tmp_path, record_text):
         assert parallel_speedup >= 2.0, parallel_speedup
 
 
-def test_t1_battery_csr_speedup(tmp_path, record_text):
-    """Full compare_models battery, python vs CSR: identical scores, ≥2x.
+def test_t1_battery_csr_speedup(record_text):
+    """Full T1 battery, python reference vs CSR: identical scores, ≥2x.
 
-    "Full" means no sampling shortcuts: ``path_sample_threshold`` is lifted
-    so the paths group runs exact all-source BFS — the workload the CSR
-    kernels exist for.  The reference map is prewarmed so neither timed run
-    pays its one-off construction, and each backend gets its own cold cache
-    (cells are backend-neutral by design, so a shared directory would let
-    the second run ride the first run's cells and time nothing).
+    Both sides do the same work: for the reference map and each of the 12
+    roster models, generate the topology, compute the single-implementation
+    ``size``/``tail`` groups through the same
+    :func:`~repro.core.metrics.compute_metric_groups` call, then extract
+    the giant component and compute the ``clustering``/``mixing``/
+    ``core``/``paths`` groups — through ``compute_metric_groups`` on the
+    CSR side, through :mod:`repro.graph.reference` on the python side —
+    and score the summary against the reference map's.  "Full" means no
+    sampling shortcuts: ``path_sample_threshold`` is lifted so the paths
+    group runs exact all-source BFS, the workload the CSR kernels exist
+    for.  The reference map's construction is prewarmed so neither timed
+    side pays it.
     """
-    from repro.core.battery import compare_models
+    from repro.core.compare import compare_summaries
+    from repro.core.metrics import (
+        METRIC_GROUPS,
+        TopologySummary,
+        compute_metric_groups,
+    )
     from repro.datasets.asmap import reference_as_map
     from repro.experiments.rosters import ROSTER_ORDER, standard_roster
+    from repro.graph import reference
 
-    roster = standard_roster(2000)
-    models = {name: roster[name] for name in ROSTER_ORDER}
-    kwargs = dict(n=2000, seeds=1, path_sample_threshold=10**9)
-    reference_as_map(2000)
+    n, seed = 2000, 21
+    sum_params = dict(path_sample_threshold=10**9, seed=seed)
+    roster = standard_roster(n)
+    reference_as_map(n)
+
+    def csr_groups(graph):
+        return compute_metric_groups(graph, reference.REFERENCE_GROUPS, **sum_params)
+
+    def reference_groups(graph):
+        gc = reference.giant_component(graph)
+        return reference.metric_groups(gc, reference.REFERENCE_GROUPS, **sum_params)
+
+    def battery(groups_of):
+        """(repr of every summary, repr of the ranking) — repr so NaN
+        exponents compare equal."""
+
+        def summarize(name, graph):
+            values = compute_metric_groups(graph, ("size", "tail"), **sum_params)
+            values.update(groups_of(graph))
+            merged = {k: v for group in METRIC_GROUPS for k, v in values[group].items()}
+            return TopologySummary.from_dict(name, merged)
+
+        target = summarize("reference", reference_as_map(n))
+        summaries = [target]
+        scores = {}
+        for model in ROSTER_ORDER:
+            summary = summarize(model, roster[model].generate(n, seed=seed))
+            summaries.append(summary)
+            scores[model] = compare_summaries(summary, target).score
+        ranking = sorted(scores.items(), key=lambda item: item[1])
+        return repr(summaries), repr(ranking)
 
     start = time.perf_counter()
-    python_run = compare_models(
-        models, cache=str(tmp_path / "cache-py"), backend="python", **kwargs
-    )
+    python_run = battery(reference_groups)
     python_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    csr_run = compare_models(
-        models, cache=str(tmp_path / "cache-csr"), backend="csr", **kwargs
-    )
+    csr_run = battery(csr_groups)
     csr_s = time.perf_counter() - start
 
-    # Oracle: the backend never changes a single reported score.
-    assert csr_run.ranking() == python_run.ranking()
+    # Oracle: the implementation never changes a single value or score.
+    assert csr_run == python_run
 
     speedup = python_s / csr_s
     rows = [
-        ["python", python_s, 1.0],
+        ["python reference", python_s, 1.0],
         ["csr", csr_s, speedup],
     ]
     table = format_table(
-        ["backend", "seconds", "speedup"],
+        ["implementation", "seconds", "speedup"],
         rows,
-        title=f"Full battery backend wall clock (n={kwargs['n']}, "
-              f"seeds={kwargs['seeds']}, exact paths, "
-              f"{len(models)} models)",
+        title=f"Full battery wall clock (n={n}, seeds=1, exact paths, "
+              f"{len(ROSTER_ORDER)} models)",
     )
     print()
     print(table)

@@ -110,7 +110,7 @@ def perf(request, output_dir, perf_floors, bench_environment):
     """Autouse telemetry bracket around every bench test.
 
     On a passed test: build the :class:`BenchRecord` (wall seconds, peak
-    RSS, backend/engine selection, cache-counter and full metrics-registry
+    RSS, engine selection, cache-counter and full metrics-registry
     deltas, environment fingerprint), write ``BENCH_<id>.json``, then
     enforce any declarative floors bound to this bench id — a violated
     floor fails the bench here, with the record already on disk for the
@@ -144,7 +144,7 @@ def perf(request, output_dir, perf_floors, bench_environment):
         values={key: float(value) for key, value in capture.values.items()},
         wall_seconds=wall,
         peak_rss_kb=peak_rss_kb(),
-        backend=os.environ.get("REPRO_BACKEND", "auto"),
+        backend="csr",
         engine=os.environ.get("REPRO_ENGINE", "auto"),
         cache=cache,
         metrics=delta,

@@ -935,7 +935,6 @@ def run_battery(
     path_sample_threshold: int = 1500,
     path_samples: int = 400,
     min_tail: int = 50,
-    backend: str = "auto",
     transport: str = "auto",
     mp_context=None,
 ) -> BatteryResult:
@@ -968,20 +967,14 @@ def run_battery(
     counter deltas land in :attr:`BatteryResult.metrics` and reconcile
     with the returned records at any *jobs* value.
 
-    *backend* picks the metric-kernel implementation
-    (``auto``/``python``/``csr``, see :mod:`repro.graph.csr`).  Both
-    backends produce identical values, so the choice is deliberately
-    excluded from cache keys: cells computed on one backend satisfy runs
-    on the other.
-
     *transport* picks how topologies reach their metric computations
     (``auto``/``regenerate``/``shared``, env ``REPRO_TRANSPORT``; see
     :mod:`repro.core.transport`).  Under ``shared``, each (model, seed)
     topology is generated in its own journaled unit, published once as a
     zero-copy snapshot — spooled under the cache directory when one is in
     play, so later runs attach instead of regenerating — and each pending
-    metric group runs as an independent unit attaching read-only.  Like
-    *backend*, the transport is a pure scheduling choice: summaries are
+    metric group runs as an independent unit attaching read-only.  The
+    transport is a pure scheduling choice: summaries are
     bit-identical and cache cells carry no trace of it.  *mp_context*
     pins the worker pools' multiprocessing start method
     (``fork``/``spawn``/``forkserver`` or a context object, env
@@ -1030,7 +1023,6 @@ def run_battery(
         "path_sample_threshold": path_sample_threshold,
         "path_samples": path_samples,
         "min_tail": min_tail,
-        "backend": backend,
     }
     make_task = functools.partial(
         build_task, trace=trc.enabled, profile_dir=profile_dir
@@ -1280,7 +1272,6 @@ def compare_models(
     path_sample_threshold: int = 1500,
     path_samples: int = 400,
     min_tail: int = 50,
-    backend: str = "auto",
     transport: str = "auto",
     mp_context=None,
 ) -> ComparisonBattery:
@@ -1308,7 +1299,6 @@ def compare_models(
         "path_sample_threshold": path_sample_threshold,
         "path_samples": path_samples,
         "min_tail": min_tail,
-        "backend": backend,
     }
     with _ambient_obs(trc), trc.span(
         "compare", models=len(_normalize_models(models)), n=n, seeds=seeds

@@ -21,7 +21,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from ..graph.clustering import average_clustering, total_triangles, transitivity
 from ..graph.cores import degeneracy
 from ..graph.correlations import degree_assortativity
-from ..graph.csr import resolve_backend
 from ..graph.graph import Graph
 from ..graph.shortest_paths import path_length_distribution
 from ..graph.traversal import giant_component
@@ -206,15 +205,12 @@ def summarize(
     path_samples: int = 400,
     min_tail: int = 50,
     seed: SeedLike = 0,
-    backend: str = "auto",
 ) -> TopologySummary:
     """Run the full scalar battery on *graph*.
 
     Above *path_sample_threshold* nodes, path lengths use *path_samples*
     BFS roots (seeded, so summaries are reproducible).  The power-law fit
     needs at least *min_tail* tail samples, else the exponent is NaN.
-    *backend* selects the kernel implementation (``auto``/``python``/
-    ``csr``); both backends produce identical values.
     """
     values = compute_metric_groups(
         graph,
@@ -223,7 +219,6 @@ def summarize(
         path_samples=path_samples,
         min_tail=min_tail,
         seed=seed,
-        backend=backend,
     )
     merged: Dict[str, float] = {}
     for group_values in values.values():
@@ -255,20 +250,20 @@ def _group_tail(gc: Graph, min_tail: int = 50, **_) -> Dict[str, float]:
     return {"degree_exponent": gamma, "degree_exponent_sigma": gamma_sigma}
 
 
-def _group_clustering(gc: Graph, backend: str = "auto", **_) -> Dict[str, float]:
+def _group_clustering(gc: Graph, **_) -> Dict[str, float]:
     return {
-        "average_clustering": average_clustering(gc, backend=backend),
-        "transitivity": transitivity(gc, backend=backend),
-        "triangles": total_triangles(gc, backend=backend),
+        "average_clustering": average_clustering(gc),
+        "transitivity": transitivity(gc),
+        "triangles": total_triangles(gc),
     }
 
 
-def _group_mixing(gc: Graph, backend: str = "auto", **_) -> Dict[str, float]:
-    return {"assortativity": degree_assortativity(gc, backend=backend)}
+def _group_mixing(gc: Graph, **_) -> Dict[str, float]:
+    return {"assortativity": degree_assortativity(gc)}
 
 
-def _group_core(gc: Graph, backend: str = "auto", **_) -> Dict[str, float]:
-    return {"degeneracy": degeneracy(gc, backend=backend)}
+def _group_core(gc: Graph, **_) -> Dict[str, float]:
+    return {"degeneracy": degeneracy(gc)}
 
 
 def _group_paths(
@@ -276,19 +271,14 @@ def _group_paths(
     path_sample_threshold: int = 1500,
     path_samples: int = 400,
     seed: SeedLike = 0,
-    backend: str = "auto",
     **_,
 ) -> Dict[str, float]:
     max_sources = None if gc.num_nodes <= path_sample_threshold else path_samples
-    paths = path_length_distribution(
-        gc, max_sources=max_sources, seed=seed, backend=backend
-    )
+    paths = path_length_distribution(gc, max_sources=max_sources, seed=seed)
     return {"average_path_length": paths.mean}
 
 
-def _group_robustness(
-    gc: Graph, seed: SeedLike = 0, backend: str = "auto", **_
-) -> Dict[str, float]:
+def _group_robustness(gc: Graph, seed: SeedLike = 0, **_) -> Dict[str, float]:
     """The T5 behavioral bundle, measured on the giant component.
 
     Lazy import: ``repro.resilience`` pulls in the sweep kernels, which the
@@ -297,7 +287,7 @@ def _group_robustness(
     from ..analysis.percolation import critical_failure_fraction
     from ..resilience.sweep import robustness_summary
 
-    values = robustness_summary(gc, seed=seed, backend=backend)
+    values = robustness_summary(gc, seed=seed)
     try:
         values["molloy_reed_fc"] = critical_failure_fraction(gc)
     except ValueError:
@@ -324,7 +314,6 @@ def compute_metric_groups(
     min_tail: int = 50,
     seed: SeedLike = 0,
     with_timings: bool = False,
-    backend: str = "auto",
 ):
     """Compute a subset of the battery, one value-dict per metric group.
 
@@ -332,12 +321,6 @@ def compute_metric_groups(
     in *groups* is computed independently on the (shared) giant component, so
     a caller holding cached values for some groups only pays for the missing
     ones.  ``summarize`` is exactly the merge of all groups.
-
-    *backend* selects the kernel implementation for every group
-    (``auto``/``python``/``csr``).  It is resolved once against the giant
-    component's size so every group runs on the same backend, which is
-    recorded on each ``metric.<group>`` tracing span.  Values are identical
-    across backends, so the choice never affects results (or cache keys).
 
     With ``with_timings=True`` the return value is a ``(values, timings)``
     pair where ``timings`` maps each group to the wall seconds its own
@@ -353,16 +336,15 @@ def compute_metric_groups(
     original_n = graph.num_nodes
     giant_started = time.perf_counter()
     with tracer.span("giant", n=original_n):
-        gc = giant_component(graph, backend=backend)
+        gc = giant_component(graph)
     giant_seconds = time.perf_counter() - giant_started
     if gc.num_nodes == 0:
         raise ValueError("cannot summarize an empty graph")
-    resolved = resolve_backend(backend, gc.num_nodes)
     out: Dict[str, Dict[str, float]] = {}
     timings: Dict[str, float] = {"giant": giant_seconds}
     for group in groups:
         group_started = time.perf_counter()
-        with tracer.span(f"metric.{group}", n=gc.num_nodes, backend=resolved):
+        with tracer.span(f"metric.{group}", n=gc.num_nodes):
             out[group] = _GROUP_FUNCTIONS[group](
                 gc,
                 original_n=original_n,
@@ -370,7 +352,6 @@ def compute_metric_groups(
                 path_samples=path_samples,
                 min_tail=min_tail,
                 seed=seed,
-                backend=resolved,
             )
         timings[group] = time.perf_counter() - group_started
     get_registry().counter("metrics.groups.computed").inc(len(tuple(groups)))

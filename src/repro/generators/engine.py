@@ -1,9 +1,8 @@
 """Engine selection for the generator layer.
 
-Mirrors the metric kernels' ``backend=`` contract (:mod:`repro.graph.csr`)
-one layer up.  The six *engine-sensitive* families (``engine_sensitive =
-True`` — Barabási–Albert, Albert–Barabási, Bianconi–Barabási, GLP, PFP and
-Serrano) carry two growth kernels and take an ``engine`` argument:
+The six *engine-sensitive* families (``engine_sensitive = True`` —
+Barabási–Albert, Albert–Barabási, Bianconi–Barabási, GLP, PFP and Serrano)
+carry two growth kernels and take an ``engine`` argument:
 
 * ``"python"`` — the original scalar growth loop, the reference
   implementation whose draw sequence is the seed contract;

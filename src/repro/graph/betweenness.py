@@ -10,13 +10,11 @@ unbiased estimator of the exact values.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 import numpy as np
 
 from ..stats.rng import SeedLike, make_rng
-from .csr import resolve_backend
 from .graph import Graph
 
 __all__ = ["betweenness_centrality", "approximate_betweenness"]
@@ -24,38 +22,11 @@ __all__ = ["betweenness_centrality", "approximate_betweenness"]
 Node = Hashable
 
 
-def _accumulate_from_source(graph: Graph, source: Node, scores: Dict[Node, float]) -> None:
-    """One Brandes source iteration: BFS + dependency back-propagation."""
-    sigma: Dict[Node, float] = {source: 1.0}
-    distance: Dict[Node, int] = {source: 0}
-    predecessors: Dict[Node, List[Node]] = {source: []}
-    order: List[Node] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in graph.neighbors(u):
-            if v not in distance:
-                distance[v] = distance[u] + 1
-                sigma[v] = 0.0
-                predecessors[v] = []
-                queue.append(v)
-            if distance[v] == distance[u] + 1:
-                sigma[v] += sigma[u]
-                predecessors[v].append(u)
-    delta: Dict[Node, float] = {u: 0.0 for u in order}
-    for u in reversed(order):
-        for p in predecessors[u]:
-            delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
-        if u != source:
-            scores[u] += delta[u]
-
-
 #: Sources per batched-Brandes chunk; bounds the dense (n, batch) workspaces.
 _BRANDES_BATCH = 256
 
 
-def _accumulate_csr(graph: Graph, sources: Sequence[Node]) -> np.ndarray:
+def _accumulate(graph: Graph, sources: Sequence[Node]) -> np.ndarray:
     """Brandes accumulation from *sources* on the CSR view.
 
     Source-batched and level-synchronous: a whole chunk of sources runs
@@ -65,7 +36,8 @@ def _accumulate_csr(graph: Graph, sources: Sequence[Node]) -> np.ndarray:
     array overhead is amortized over the batch instead of paid per
     source.  Sigma values are integer path counts (exact in float64);
     delta accumulates floats in a different order than the dict
-    reference, so scores agree to ~1e-12 relative, not bit-for-bit.
+    reference (:func:`repro.graph.reference.betweenness_centrality`), so
+    scores agree with it to ~1e-12 relative, not bit-for-bit.
     """
     view = graph.csr()
     n = view.num_nodes
@@ -73,10 +45,7 @@ def _accumulate_csr(graph: Graph, sources: Sequence[Node]) -> np.ndarray:
     if n == 0 or not sources:
         return scores
     adjacency = view.unweighted_sparse()
-    index = view.index
-    positions = np.fromiter(
-        (index[s] for s in sources), dtype=np.int64, count=len(sources)
-    )
+    positions = view.positions(sources)
     for start in range(0, positions.size, _BRANDES_BATCH):
         chunk = positions[start : start + _BRANDES_BATCH]
         batch = chunk.size
@@ -113,34 +82,46 @@ def _accumulate_csr(graph: Graph, sources: Sequence[Node]) -> np.ndarray:
     return scores
 
 
-def _scored(graph: Graph, sources: Sequence[Node], scale: float, backend: str):
-    """Run Brandes from *sources* on the selected backend, scaled."""
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        raw = _accumulate_csr(graph, sources)
-        view = graph.csr()
-        return {
-            node: float(raw[i]) * scale for i, node in enumerate(view.nodes)
-        }
-    scores: Dict[Node, float] = {node: 0.0 for node in graph.nodes()}
-    for source in sources:
-        _accumulate_from_source(graph, source, scores)
-    return {node: score * scale for node, score in scores.items()}
+def _scored(graph: Graph, sources: Sequence[Node], scale: float) -> Dict[Node, float]:
+    """Run Brandes from *sources*, scaled."""
+    raw = _accumulate(graph, sources)
+    view = graph.csr()
+    return {node: float(raw[i]) * scale for i, node in enumerate(view.nodes)}
 
 
-def betweenness_centrality(
-    graph: Graph, normalized: bool = True, backend: str = "auto"
-) -> Dict[Node, float]:
+def _plan(
+    graph: Graph,
+    num_pivots: Optional[int] = None,
+    seed: SeedLike = None,
+    normalized: bool = True,
+):
+    """(sources, scale) for Brandes accumulation: every node at the exact
+    scale (halved pair counts), or *num_pivots* uniformly sampled node ids
+    rescaled by ``N / num_pivots`` when that is fewer than N; either way
+    further divided by ``(N-1)(N-2)/2`` when *normalized*.  Sampling
+    happens in node-id space, so every implementation estimates from the
+    same sources."""
+    nodes = list(graph.nodes())
+    n = len(nodes)
+    if num_pivots is not None and num_pivots <= 0:
+        raise ValueError("num_pivots must be positive")
+    if num_pivots is None or num_pivots >= n:
+        sources, scale = nodes, 0.5
+    else:
+        sources, scale = make_rng(seed).sample(nodes, num_pivots), 0.5 * n / num_pivots
+    if normalized and n > 2:
+        scale /= (n - 1) * (n - 2) / 2.0
+    return sources, scale
+
+
+def betweenness_centrality(graph: Graph, normalized: bool = True) -> Dict[Node, float]:
     """Exact Freeman betweenness of every node (Brandes' algorithm).
 
     Undirected convention: raw pair counts are halved; with *normalized*
     they are further divided by ``(N-1)(N-2)/2``, the number of pairs a node
     could possibly sit between.
     """
-    n = graph.num_nodes
-    scale = 0.5
-    if normalized and n > 2:
-        scale /= (n - 1) * (n - 2) / 2.0
-    return _scored(graph, list(graph.nodes()), scale, backend)
+    return _scored(graph, *_plan(graph, normalized=normalized))
 
 
 def approximate_betweenness(
@@ -148,27 +129,14 @@ def approximate_betweenness(
     num_pivots: int,
     seed: SeedLike = None,
     normalized: bool = True,
-    backend: str = "auto",
 ) -> Dict[Node, float]:
     """Pivot-sampled betweenness (Brandes–Pich estimator).
 
     Runs Brandes accumulation from *num_pivots* uniformly sampled sources
     and rescales by ``N / num_pivots``, giving an unbiased estimate of the
     exact score.  Matches :func:`betweenness_centrality` exactly when
-    ``num_pivots >= N``.  Pivots are sampled in node-id space before the
-    backend split, so both backends estimate from the same sources.
+    ``num_pivots >= N``.
     """
-    nodes = list(graph.nodes())
-    if not nodes:
+    if graph.num_nodes == 0:
         return {}
-    if num_pivots <= 0:
-        raise ValueError("num_pivots must be positive")
-    if num_pivots >= len(nodes):
-        return betweenness_centrality(graph, normalized=normalized, backend=backend)
-    rng = make_rng(seed)
-    pivots = rng.sample(nodes, num_pivots)
-    n = len(nodes)
-    scale = 0.5 * n / num_pivots
-    if normalized and n > 2:
-        scale /= (n - 1) * (n - 2) / 2.0
-    return _scored(graph, pivots, scale, backend)
+    return _scored(graph, *_plan(graph, num_pivots, seed, normalized))

@@ -6,8 +6,7 @@ plus the node↔index maps that tie array positions back to node ids.  The
 hot metric kernels (BFS path lengths, Brandes betweenness, triangle
 counting, k-core peeling, rich-club and correlation sweeps) have array
 implementations operating on this view that produce values identical to
-the pure-Python reference implementations — CSR is a *speed* choice, never
-a *semantics* choice.
+the pure-Python reference implementations.
 
 The view contract:
 
@@ -21,63 +20,30 @@ The view contract:
   ``remove_edge`` / ``remove_node`` / ``set_edge_weight`` after the build
   makes the next ``csr()`` call rebuild.
 
-Backend selection is centralized in :func:`resolve_backend`: an explicit
-``backend="python"`` or ``"csr"`` always wins; ``"auto"`` consults the
-``REPRO_BACKEND`` environment variable and otherwise picks CSR at or above
-:data:`AUTO_CSR_THRESHOLD` nodes (array setup costs more than it saves on
-tiny graphs).
+The CSR kernels are the only production implementation of every metric
+in :mod:`repro.graph`; the pure-Python originals live on, unchanged, in
+:mod:`repro.graph.reference` as the oracle the equivalence suites and
+the speed-up benches compare against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "CSRView",
-    "resolve_backend",
-    "BACKENDS",
-    "AUTO_CSR_THRESHOLD",
-    "REPRO_BACKEND_ENV",
-]
+__all__ = ["CSRView", "resolve_backend"]
 
 Node = Hashable
 
-#: Accepted values for every kernel's ``backend`` parameter.
-BACKENDS = ("auto", "python", "csr")
-
-#: ``backend="auto"`` picks the CSR path at or above this many nodes.
-AUTO_CSR_THRESHOLD = 300
-
-#: Environment variable consulted by ``backend="auto"`` (values: ``python``,
-#: ``csr``, or ``auto``); explicit backend arguments always override it.
-REPRO_BACKEND_ENV = "REPRO_BACKEND"
-
 
 def resolve_backend(backend: str = "auto", size: int = 0) -> str:
-    """Resolve a ``backend`` argument to ``"python"`` or ``"csr"``.
+    """Always ``"csr"``: the CSR kernels are the only metric implementation.
 
-    Explicit choices pass through (after validation).  ``"auto"`` defers
-    first to the ``REPRO_BACKEND`` environment variable — which lets CI
-    force the fast path across an unmodified test suite — and then to the
-    size threshold: CSR at or above :data:`AUTO_CSR_THRESHOLD` nodes.
+    Kept only as the environment stamp ``perfbench/battery_cold.py``
+    records; nothing in the package selects on it.
     """
-    if backend not in BACKENDS:
-        choices = ", ".join(BACKENDS)
-        raise ValueError(f"unknown backend {backend!r}; choose one of: {choices}")
-    if backend != "auto":
-        return backend
-    env = os.environ.get(REPRO_BACKEND_ENV, "").strip().lower()
-    if env in ("python", "csr"):
-        return env
-    if env not in ("", "auto"):
-        choices = ", ".join(BACKENDS)
-        raise ValueError(
-            f"invalid {REPRO_BACKEND_ENV}={env!r}; choose one of: {choices}"
-        )
-    return "csr" if size >= AUTO_CSR_THRESHOLD else "python"
+    return "csr"
 
 
 class CSRView:
@@ -177,6 +143,11 @@ class CSRView:
         """Number of distinct undirected edges."""
         return len(self.indices) // 2
 
+    def positions(self, nodes: Sequence[Node]) -> np.ndarray:
+        """int64 array positions of the node ids *nodes*, in order."""
+        index = self.index
+        return np.fromiter((index[v] for v in nodes), dtype=np.int64, count=len(nodes))
+
     def neighbor_slice(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of the node at position *i*."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
@@ -187,27 +158,15 @@ class CSRView:
         """All neighbor indices of the *frontier* positions, concatenated
         (duplicates preserved) — the gather primitive behind the frontier
         BFS and peeling kernels."""
-        block, _ = self.neighbor_block_with_sources(frontier)
-        return block
-
-    def neighbor_block_with_sources(
-        self, frontier: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(neighbors, sources): concatenated neighbor indices of the
-        *frontier* positions plus, aligned, the frontier position each
-        neighbor was reached from (what Brandes accumulation needs)."""
         starts = self.indptr[frontier]
         counts = self.indptr[frontier + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+            return np.empty(0, dtype=np.int64)
         cum = np.cumsum(counts)
         # Per-element offset within its own row: 0..count-1 for each source.
         offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        block = self.indices[np.repeat(starts, counts) + offsets]
-        sources = np.repeat(frontier, counts)
-        return block, sources
+        return self.indices[np.repeat(starts, counts) + offsets]
 
     def bfs_distances(self, source: int) -> np.ndarray:
         """Hop distances from position *source* (-1 for unreachable)."""

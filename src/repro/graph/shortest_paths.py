@@ -9,16 +9,13 @@ error while keeping harness runtimes bounded.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from ..stats.rng import SeedLike, make_rng
-from .csr import resolve_backend
 from .graph import Graph
-from .traversal import bfs_distances
 
 __all__ = [
     "PathLengthStats",
@@ -70,41 +67,34 @@ class PathLengthStats:
         return [(d, self.counts[d] / total) for d in sorted(self.counts)]
 
 
+def _path_sources(graph: Graph, max_sources: Optional[int], seed: SeedLike):
+    """(BFS roots, exact): every node when *max_sources* is unset or covers
+    the graph, else a seeded uniform sample without replacement drawn in
+    node-id space (so every implementation measures from the same roots)."""
+    nodes = list(graph.nodes())
+    exact = max_sources is None or max_sources >= len(nodes)
+    if exact:
+        return nodes, True
+    return make_rng(seed).sample(nodes, max_sources), False
+
+
 def path_length_distribution(
     graph: Graph,
     max_sources: Optional[int] = None,
     seed: SeedLike = None,
-    backend: str = "auto",
 ) -> PathLengthStats:
     """Distribution of shortest-path lengths within *graph*.
 
     With *max_sources* set and smaller than N, BFS roots are sampled
     uniformly without replacement; otherwise every node is a root and the
     counts are exact (each unordered pair contributes twice, which cancels
-    in all normalized statistics).
-
-    *backend* selects the implementation (see
-    :func:`repro.graph.csr.resolve_backend`); sampling happens in node-id
-    space before the backend split, so both backends observe identical
-    counts for the same seed.
+    in all normalized statistics).  The roots run as batched
+    level-synchronous BFS over the CSR view.
     """
-    nodes = list(graph.nodes())
-    if not nodes:
+    if graph.num_nodes == 0:
         return PathLengthStats(counts={}, sources=0, exact=True)
-    exact = max_sources is None or max_sources >= len(nodes)
-    if exact:
-        sources = nodes
-    else:
-        rng = make_rng(seed)
-        sources = rng.sample(nodes, max_sources)
-    if resolve_backend(backend, len(nodes)) == "csr":
-        counts = _distance_counts_csr(graph, sources)
-    else:
-        counts = {}
-        for source in sources:
-            for distance in bfs_distances(graph, source).values():
-                if distance > 0:
-                    counts[distance] = counts.get(distance, 0) + 1
+    sources, exact = _path_sources(graph, max_sources, seed)
+    counts = _distance_counts(graph, sources)
     return PathLengthStats(counts=counts, sources=len(sources), exact=exact)
 
 
@@ -113,20 +103,19 @@ def path_length_distribution(
 _BFS_BATCH = 512
 
 
-def _source_positions(view, sources) -> np.ndarray:
-    index = view.index
-    return np.fromiter(
-        (index[s] for s in sources), dtype=np.int64, count=len(sources)
-    )
-
-
-def _distance_counts_csr(graph: Graph, sources) -> Dict[int, int]:
-    """Aggregate positive BFS distance counts over *sources* (CSR path)."""
-    view = graph.csr()
-    positions = _source_positions(view, sources)
-    totals = np.zeros(1, dtype=np.int64)
+def _distance_chunks(view, positions: np.ndarray):
+    """(chunk positions, their ``distance_batch`` matrix), _BFS_BATCH
+    sources at a time."""
     for start in range(0, positions.size, _BFS_BATCH):
-        distances = view.distance_batch(positions[start : start + _BFS_BATCH])
+        chunk = positions[start : start + _BFS_BATCH]
+        yield chunk, view.distance_batch(chunk)
+
+
+def _distance_counts(graph: Graph, sources) -> Dict[int, int]:
+    """Aggregate positive BFS distance counts over *sources*."""
+    view = graph.csr()
+    totals = np.zeros(1, dtype=np.int64)
+    for _, distances in _distance_chunks(view, view.positions(sources)):
         reached = distances[distances > 0]
         if reached.size == 0:
             continue
@@ -143,62 +132,38 @@ def average_path_length(
     graph: Graph,
     max_sources: Optional[int] = None,
     seed: SeedLike = None,
-    backend: str = "auto",
 ) -> float:
     """Characteristic path length ⟨ℓ⟩ (sampled when *max_sources* is set)."""
-    return path_length_distribution(
-        graph, max_sources=max_sources, seed=seed, backend=backend
-    ).mean
+    return path_length_distribution(graph, max_sources=max_sources, seed=seed).mean
 
 
-def eccentricities(graph: Graph, backend: str = "auto") -> Dict[Node, int]:
+def eccentricities(graph: Graph) -> Dict[Node, int]:
     """Eccentricity of every node (max distance to any reachable node).
 
     Requires a connected graph to be meaningful; on a disconnected graph the
     eccentricity is computed within each node's component.
     """
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        view = graph.csr()
-        n = view.num_nodes
-        out_csr: Dict[Node, int] = {}
-        for start in range(0, n, _BFS_BATCH):
-            positions = np.arange(start, min(start + _BFS_BATCH, n))
-            # Unreachable entries are -1 < 0, so the column max is the
-            # farthest reachable node (0 for an isolated source).
-            maxima = view.distance_batch(positions).max(axis=0)
-            for i, ecc in zip(positions.tolist(), maxima.tolist()):
-                out_csr[view.nodes[i]] = int(ecc)
-        return out_csr
+    view = graph.csr()
     out: Dict[Node, int] = {}
-    for node in graph.nodes():
-        distances = bfs_distances(graph, node)
-        out[node] = max(distances.values()) if len(distances) > 1 else 0
+    for positions, distances in _distance_chunks(view, np.arange(view.num_nodes)):
+        # Unreachable entries are -1 < 0, so the column max is the
+        # farthest reachable node (0 for an isolated source).
+        for i, ecc in zip(positions.tolist(), distances.max(axis=0).tolist()):
+            out[view.nodes[i]] = int(ecc)
     return out
 
 
-def diameter(graph: Graph, backend: str = "auto") -> int:
+def diameter(graph: Graph) -> int:
     """Exact diameter (longest shortest path) of the graph.
 
     Raises :class:`ValueError` on a disconnected graph, where the diameter
     is conventionally infinite.
     """
-    nodes = list(graph.nodes())
-    if not nodes:
-        return 0
+    view = graph.csr()
+    n = view.num_nodes
     best = 0
-    n = len(nodes)
-    if resolve_backend(backend, n) == "csr":
-        view = graph.csr()
-        for start in range(0, n, _BFS_BATCH):
-            positions = np.arange(start, min(start + _BFS_BATCH, n))
-            distances = view.distance_batch(positions)
-            if int((distances >= 0).sum()) != n * positions.size:
-                raise ValueError("diameter is undefined on a disconnected graph")
-            best = max(best, int(distances.max()))
-        return best
-    for node in nodes:
-        distances = bfs_distances(graph, node)
-        if len(distances) != n:
+    for positions, distances in _distance_chunks(view, np.arange(n)):
+        if int((distances >= 0).sum()) != n * positions.size:
             raise ValueError("diameter is undefined on a disconnected graph")
-        best = max(best, max(distances.values()))
+        best = max(best, int(distances.max()))
     return best

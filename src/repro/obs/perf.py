@@ -3,7 +3,7 @@
 Every benchmark run leaves a :class:`BenchRecord` — one JSON file,
 ``BENCH_<id>.json``, written by the shared harness fixtures in
 ``benchmarks/conftest.py`` — carrying what the prose tables cannot: wall
-time, peak RSS, the backend/engine the run resolved to, cache hit/miss
+time, peak RSS, the generator engine the run resolved to, cache hit/miss
 deltas, the merged :class:`~repro.obs.metrics.MetricsRegistry` delta, the
 bench's own published measurements (speedups, budgets), and an
 environment fingerprint (git commit, python/numpy versions, CPU count)
@@ -159,6 +159,8 @@ class BenchRecord:
     the run (counters/gauges/histograms, the
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` shape); ``cache``
     the cache-counter delta pulled out of it for at-a-glance hit rates.
+    ``backend`` is always ``"csr"`` now that the metrics have one
+    implementation; schema v1 keeps the field so older records load.
     """
 
     bench_id: str
@@ -166,7 +168,7 @@ class BenchRecord:
     values: Dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
     peak_rss_kb: float = 0.0
-    backend: str = "auto"
+    backend: str = "csr"
     engine: str = "auto"
     cache: Dict[str, int] = field(default_factory=dict)
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)

@@ -121,6 +121,15 @@ def _coerce_int(value: Any, name: str) -> int:
     raise ServeError(f"{name} must be an integer, got {value!r}")
 
 
+def _coerce_params(value: Any) -> Dict[str, Any]:
+    """Generator parameters: a JSON object (absent or null means none)."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ServeError(f"params must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 class ServeDispatcher:
     """The service's request broker (see module docstring).
 
@@ -154,7 +163,6 @@ class ServeDispatcher:
         threads: Optional[int] = None,
         mp_context=None,
         journal=None,
-        backend: str = "auto",
         engine: str = "auto",
         unit_timeout: Optional[float] = None,
         retries: int = 1,
@@ -177,11 +185,10 @@ class ServeDispatcher:
         self.reaped_at_start = self.spool.reap_staging()
         self.worlds_dir = self.root / "worlds"
         self.worlds_dir.mkdir(parents=True, exist_ok=True)
-        self.backend = backend
         self.engine = engine
         self.unit_timeout = unit_timeout
         self.retries = retries
-        self._sum_params = dict(DEFAULT_SUM_PARAMS, backend=backend)
+        self._sum_params = dict(DEFAULT_SUM_PARAMS)
         self.pool = WorkerPool(jobs, resolve_mp_context(mp_context))
         self.journal = resolve_journal(journal)
         self.run_id = self.journal.begin_run(
@@ -356,12 +363,17 @@ class ServeDispatcher:
             }
         if op == "world_save":
             world = self._world_id(params)
+            every = params.get("checkpoint_every")
+            if every is not None:
+                every = _coerce_int(every, "checkpoint_every")
+                if every < 1:
+                    raise ServeError("checkpoint_every must be >= 1")
             spec = {
                 "model": str(params.get("model", "")),
                 "n": _coerce_int(params.get("n", 0), "n"),
                 "seed": _coerce_int(params.get("seed", 0), "seed"),
-                "params": dict(params.get("params") or {}),
-                "checkpoint_every": params.get("checkpoint_every"),
+                "params": _coerce_params(params.get("params")),
+                "checkpoint_every": every,
             }
             if not spec["model"]:
                 raise ServeError("world_save requires a model")
@@ -397,6 +409,13 @@ class ServeDispatcher:
             return tuple(METRIC_GROUPS)
         if isinstance(groups, str):
             groups = [g for g in groups.split(",") if g]
+        if not isinstance(groups, (list, tuple)) or not all(
+            isinstance(g, str) for g in groups
+        ):
+            raise ServeError(
+                "groups must be a list of names or a comma-separated string, "
+                f"got {groups!r}"
+            )
         unknown = [g for g in groups if g not in ALL_METRIC_GROUPS]
         if unknown:
             known = ", ".join(ALL_METRIC_GROUPS)
@@ -420,7 +439,7 @@ class ServeDispatcher:
         n = _coerce_int(params.get("n", 0), "n")
         if n < 1:
             raise ServeError("request requires n >= 1")
-        gen_params = dict(params.get("params") or {})
+        gen_params = _coerce_params(params.get("params"))
         try:
             generator = make_generator(str(model), **gen_params)
         except (KeyError, TypeError, ValueError) as exc:

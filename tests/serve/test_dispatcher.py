@@ -282,6 +282,43 @@ class TestValidation:
             with pytest.raises(ServeError, match="invalid world id"):
                 cold.submit("world_info", {"world": bad})
 
+    def test_params_must_be_an_object(self, cold):
+        for bad in ("abc", [1, 2], 5, True):
+            for op in ("summarize", "generate", "compare"):
+                with pytest.raises(ServeError, match="params must be a JSON object"):
+                    cold.submit(op, {"model": MODEL, "n": N, "params": bad})
+            with pytest.raises(ServeError, match="params must be a JSON object"):
+                cold.submit(
+                    "world_save",
+                    {"world": "w", "model": MODEL, "n": N, "params": bad},
+                )
+        plain = cold._plan("summarize", {"model": MODEL, "n": N})
+        for empty in (None, {}):
+            plan = cold._plan("summarize", {"model": MODEL, "n": N, "params": empty})
+            assert plan["key"] == plain["key"]
+
+    def test_groups_must_be_a_list_or_comma_string(self, cold):
+        for bad in (5, {"size": 1}, ["size", 3], [["size"]], 2.5, True):
+            with pytest.raises(ServeError, match="groups must be a list"):
+                cold.submit("summarize", {"model": MODEL, "n": N, "groups": bad})
+            with pytest.raises(ServeError, match="groups must be a list"):
+                cold.submit("world_summarize", {"world": "w", "groups": bad})
+        listed = cold._plan("summarize", {"model": MODEL, "n": N, "groups": ["size", "tail"]})
+        joined = cold._plan("summarize", {"model": MODEL, "n": N, "groups": "size,tail"})
+        assert listed["key"] == joined["key"]
+
+    def test_checkpoint_every_validated(self, cold):
+        base = {"world": "w", "model": MODEL, "n": N}
+        for bad in ("abc", True, 2.5, [10]):
+            with pytest.raises(ServeError, match="checkpoint_every must be an integer"):
+                cold.submit("world_save", dict(base, checkpoint_every=bad))
+        for bad in (0, -5):
+            with pytest.raises(ServeError, match="checkpoint_every must be >= 1"):
+                cold.submit("world_save", dict(base, checkpoint_every=bad))
+        for good, expected in ((None, None), (50, 50), ("50", 50), (50.0, 50)):
+            plan = cold._plan("world_save", dict(base, checkpoint_every=good))
+            assert plan["spec"]["checkpoint_every"] == expected
+
 
 class TestStagingReapOnRestart:
     def test_restart_reaps_killed_servers_staging(self, tmp_path):

@@ -109,6 +109,24 @@ class TestErrorMapping:
             assert excinfo.value.status == 400
             assert "must be an integer" in excinfo.value.message
 
+    def test_malformed_fields_are_400(self, service):
+        for body in (
+            {"model": MODEL, "n": N, "params": "abc"},
+            {"model": MODEL, "n": N, "params": [1, 2]},
+            {"model": MODEL, "n": N, "groups": 5},
+        ):
+            with pytest.raises(ServeClientError) as excinfo:
+                service._request("POST", "/summarize", body)
+            assert excinfo.value.status == 400, body
+        for every in ("abc", True):
+            with pytest.raises(ServeClientError) as excinfo:
+                service._request(
+                    "PUT", "/worlds/bad-every",
+                    {"model": MODEL, "n": N, "checkpoint_every": every},
+                )
+            assert excinfo.value.status == 400, every
+            assert "checkpoint_every" in excinfo.value.message
+
     def test_non_object_body_is_400(self, service):
         request = urllib.request.Request(
             service.base_url + "/summarize",

@@ -59,6 +59,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [
+        ["summarize", "g.txt"],
+        ["battery", "glp"],
+        ["experiment", "t1"],
+        ["serve", "run"],
+    ])
+    def test_backend_flag_is_gone(self, argv):
+        # The metrics have one implementation, so no command takes --backend.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--backend", "csr"])
+        build_parser().parse_args(argv)
+
     def test_param_coercion_end_to_end(self, tmp_path, capsys):
         out_file = tmp_path / "g.txt"
         code = main(
@@ -189,7 +201,7 @@ class TestJournalCommand:
     def test_spans_aggregates_a_trace(self, artifacts, capsys):
         _, trace = artifacts
         # --top wide enough that the battery span always makes the cut:
-        # with the CSR backend the metric spans are small, so `battery`
+        # with the CSR kernels the metric spans are small, so `battery`
         # no longer ranks in the top 3 by share.
         assert main(["journal", "spans", str(trace), "--top", "8"]) == 0
         out = capsys.readouterr().out

@@ -10,12 +10,14 @@ import time
 import pytest
 
 from repro.core.report import format_table
+from repro.experiments.rosters import standard_roster
 from repro.generators import BarabasiAlbertGenerator, SerranoGenerator
 from repro.graph import (
     approximate_betweenness,
     betweenness_centrality,
     core_numbers,
     cycle_counts_3_4_5,
+    giant_component,
     path_length_distribution,
     rich_club_coefficient,
     triangles_per_node,
@@ -24,6 +26,7 @@ from repro.graph import reference
 from repro.graph.correlations import average_neighbor_degree, degree_assortativity
 from repro.graph.shortest_paths import average_path_length, eccentricities
 from repro.stats import FenwickSampler
+from repro.stats.powerlaw import fit_powerlaw_auto_xmin
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +178,22 @@ def test_micro_serrano_generation(benchmark):
         generator.generate, args=(1000,), kwargs={"seed": 4}, rounds=2, iterations=1
     )
     assert graph.num_nodes == 1000
+
+
+def test_micro_powerlaw_fit(perf):
+    """The battery's tail fit on every roster degree sequence.
+
+    Giant-component degrees of the 12 ``standard_roster(2000)`` models at
+    seeds 1 and 2; only the 24 ``fit_powerlaw_auto_xmin`` calls are timed.
+    ``fit_s`` carries the ``powerlaw-fit-seconds`` ceiling.
+    """
+    perf.bench_id = "powerlaw_fit"
+    sequences = [
+        list(giant_component(generator.generate(2000, seed=seed)).degrees().values())
+        for seed in (1, 2)
+        for generator in standard_roster(2000).values()
+    ]
+    start = time.perf_counter()
+    for degrees in sequences:
+        fit_powerlaw_auto_xmin(degrees, min_tail=50)
+    perf.values["fit_s"] = time.perf_counter() - start

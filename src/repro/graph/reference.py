@@ -84,33 +84,26 @@ def triangles_per_node(graph: Graph) -> Dict[Node, int]:
 
     Neighbor-intersection counting: for each node, intersect the adjacency
     sets of neighbor pairs via hash lookups, iterating the smaller side.
-    O(sum_e min(d_u, d_v)) overall.
+    O(sum_e min(d_u, d_v)) overall.  Each triangle is counted once, from
+    its lowest-ranked corner, ranking nodes by their position in
+    ``graph.nodes()`` (a strict total order for any mix of id types).
     """
-    counts: Dict[Node, int] = {node: 0 for node in graph.nodes()}
-    adj = {node: graph.neighbor_weights(node) for node in graph.nodes()}
-    for u in graph.nodes():
+    rank = {node: i for i, node in enumerate(graph.nodes())}
+    counts: Dict[Node, int] = dict.fromkeys(rank, 0)
+    adj = {node: graph.neighbor_weights(node) for node in rank}
+    for u in rank:
         nbrs_u = adj[u]
         for v in nbrs_u:
-            if not _ordered_before(u, v):
+            if rank[v] <= rank[u]:
                 continue
             # Iterate the smaller adjacency to bound the intersection cost.
             small, large = (nbrs_u, adj[v]) if len(nbrs_u) <= len(adj[v]) else (adj[v], nbrs_u)
             for w in small:
-                if w != u and w != v and w in large and _ordered_before(v, w):
+                if w in large and rank[w] > rank[v]:
                     counts[u] += 1
                     counts[v] += 1
                     counts[w] += 1
     return counts
-
-
-def _ordered_before(a: Node, b: Node) -> bool:
-    """Stable ordering for arbitrary hashable ids (id() fallback for
-    non-comparable mixes); node ids within one graph are homogeneous in
-    practice, so the common path is a plain ``<``."""
-    try:
-        return a < b  # type: ignore[operator]
-    except TypeError:
-        return id(a) < id(b)
 
 
 def total_triangles(graph: Graph) -> int:

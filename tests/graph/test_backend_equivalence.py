@@ -90,6 +90,9 @@ DEGENERATE = {
         list(itertools.combinations(MIXED_IDS[:6], 2))
         + [("c", (1, 0)), ((1, 0), 3), (3, "c"), (3, 0)],
     ),
+    # Every triple of ids is a triangle (C(9, 3) = 84), and most triples
+    # mix id types that do not compare with ``<``.
+    "mixed-ids-clique": _graph(MIXED_IDS, list(itertools.combinations(MIXED_IDS, 2))),
 }
 
 
@@ -129,9 +132,13 @@ def assert_groups_match_reference(g, **sum_params):
 
 def assert_kernels_match_reference(g):
     """Every kernel with a reference, CSR vs reference, exact except
-    betweenness.  Triangles are checked separately (see
-    :class:`TestDegenerateGraphs`): the reference orders mixed-type ids
-    by ``id()``, which is not a total order across types."""
+    betweenness."""
+    assert_same(
+        triangles_per_node(g),
+        reference.triangles_per_node(g),
+        label="triangles_per_node",
+    )
+    assert total_triangles(g) == reference.total_triangles(g)
     assert_same(core_numbers(g), reference.core_numbers(g), label="core_numbers")
     assert_same(
         average_neighbor_degree(g),
@@ -286,16 +293,12 @@ class TestDegenerateGraphs:
         )
 
     def test_triangles_exact(self, name):
-        # The reference orders mixed-type ids by id(), which is not a total
-        # order across types: three incomparable ids can be ordered
-        # cyclically and one triangle counted up to three times.  The CSR
-        # count is exact for any id types, so brute force is the oracle.
         g = DEGENERATE[name]
         expected = _brute_force_triangles(g)
         assert triangles_per_node(g) == expected
+        assert reference.triangles_per_node(g) == expected
         assert total_triangles(g) == sum(expected.values()) // 3
-        if name != "mixed-ids":
-            assert reference.triangles_per_node(g) == expected
+        assert reference.total_triangles(g) == sum(expected.values()) // 3
 
     def test_metric_groups(self, name):
         g = DEGENERATE[name]
@@ -303,16 +306,5 @@ class TestDegenerateGraphs:
             with pytest.raises(ValueError):
                 compute_metric_groups(g, tuple(METRIC_GROUPS))
             return
-        if name == "mixed-ids":
-            # No reference triangle count here (see test_triangles_exact).
-            gc = reference.giant_component(g)
-            groups = ("mixing", "core", "paths")
-            assert_same(
-                reference.metric_groups(gc, groups),
-                compute_metric_groups(g, groups),
-                label="groups",
-            )
-        else:
-            assert_groups_match_reference(g)
+        assert_groups_match_reference(g)
         assert set(compute_metric_groups(g, tuple(METRIC_GROUPS))) == set(METRIC_GROUPS)
-

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.experiments.rosters import standard_roster
+from repro.graph import giant_component
 from repro.stats.powerlaw import (
+    _generalized_zeta,
+    _model_ccdf,
     bootstrap_gamma,
     fit_discrete_powerlaw,
     fit_powerlaw_auto_xmin,
@@ -188,3 +192,77 @@ class TestBootstrap:
         assert bootstrap_gamma(samples, 1, n_boot=10, seed=20) == bootstrap_gamma(
             samples, 1, n_boot=10, seed=20
         )
+
+
+def _direct_sum_zeta(gamma, x_min, terms=100_000):
+    """Oracle: ``sum_{k>=x_min} k^-gamma`` summed over *terms* terms, plus
+    the integral tail and the Euler–Maclaurin boundary term."""
+    head = float(np.sum(np.arange(x_min, x_min + terms, dtype=float) ** -gamma))
+    upper = x_min + terms
+    return head + upper ** (1.0 - gamma) / (gamma - 1.0) + 0.5 * upper ** -gamma
+
+
+class TestZetaNormaliser:
+    @pytest.mark.parametrize("gamma", [1.05, 1.5, 2.2, 3.5])
+    @pytest.mark.parametrize("x_min", [1, 7, 300])
+    def test_matches_direct_sum(self, gamma, x_min):
+        expected = _direct_sum_zeta(gamma, x_min)
+        assert _generalized_zeta(gamma, x_min) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma, x_min", [(1.0, 1), (0.9, 3)])
+    def test_diverges_at_or_below_one(self, gamma, x_min):
+        with pytest.raises(ValueError):
+            _generalized_zeta(gamma, x_min)
+
+    @pytest.mark.parametrize("gamma", [1.05, 2.2, 3.5])
+    def test_model_ccdf_starts_at_one_and_decreases(self, gamma):
+        values = np.arange(4, 400, dtype=float)
+        ccdf = _model_ccdf(gamma, 4, values)
+        assert ccdf[0] == 1.0
+        assert np.all(np.diff(ccdf) < 0)
+
+
+#: (gamma, sigma, x_min) of fit_powerlaw_auto_xmin(min_tail=50) on the
+#: giant-component degrees of standard_roster(600), per seed and model;
+#: recorded from the direct-sum normaliser, which the zeta call reproduces
+#: bit for bit.
+GOLDEN_FITS = {
+    1: {
+        "erdos-renyi": (7.604027303936164, 0.7080260452961008, 7),
+        "waxman": (5.32132029279666, 0.3194411879042934, 6),
+        "transit-stub": (4.986696866702971, 0.2547007199895217, 4),
+        "hot": (2.2325244074201827, 0.09370709545828515, 3),
+        "plrg": (2.0872119203915918, 0.048670289848232545, 1),
+        "inet": (2.203011868892406, 0.058700968530502516, 2),
+        "barabasi-albert": (2.5868649436833135, 0.09131381646708739, 3),
+        "albert-barabasi": (2.6623017782085348, 0.13395209460206617, 4),
+        "glp": (1.9536103260952618, 0.038930978539707756, 1),
+        "pfp": (1.9981480736718438, 0.06429636957849429, 3),
+        "serrano": (2.1434720706957444, 0.12705245229952716, 5),
+        "serrano-distance": (2.0290821820048093, 0.09025647802532938, 3),
+    },
+    2: {
+        "erdos-renyi": (6.998842409072498, 0.6506658150910337, 7),
+        "waxman": (5.880189777749056, 0.4550800432876223, 7),
+        "transit-stub": (5.111201986145229, 0.2664896435694391, 4),
+        "hot": (2.2042713942924275, 0.0929115552014204, 3),
+        "plrg": (2.33387756866354, 0.09780464861810262, 2),
+        "inet": (2.225158097658038, 0.05978159384389828, 2),
+        "barabasi-albert": (2.764981247658686, 0.13082911437466588, 4),
+        "albert-barabasi": (2.831449701713008, 0.24473776088997884, 7),
+        "glp": (1.9640154975252089, 0.03935576788453369, 1),
+        "pfp": (2.065390315633075, 0.05067544954886002, 2),
+        "serrano": (2.1327248695180914, 0.07121380240003933, 2),
+        "serrano-distance": (2.117897935623191, 0.07098658989869802, 2),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_FITS))
+def test_roster_fits_are_golden(seed):
+    fits = {}
+    for name, generator in standard_roster(600).items():
+        degrees = list(giant_component(generator.generate(600, seed=seed)).degrees().values())
+        fit = fit_powerlaw_auto_xmin(degrees, min_tail=50)
+        fits[name] = (fit.gamma, fit.sigma, fit.x_min)
+    assert fits == GOLDEN_FITS[seed]
